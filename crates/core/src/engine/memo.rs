@@ -122,9 +122,10 @@ pub fn shared_memo_enabled() -> bool {
 /// Sessions still running on an older snapshot keep probing the older
 /// generation's keys, so they never observe post-update bindings.
 ///
-/// Stale generations are not dropped eagerly (in-flight snapshot
-/// sessions may still be reading them); [`AtomCache::purge_stale`] is
-/// the explicit maintenance sweep.
+/// [`AtomCache::purge_stale`] drops stale generations; the catalog
+/// runs it after every update. Sessions still pinned to an older
+/// snapshot stay correct: they keep their search-local memo, and at
+/// worst recompute an atom and republish it under its old generation.
 pub struct AtomCache {
     memo: ShardedMemo<(RelGeneration, AtomKey), Arc<Bindings>>,
 }
@@ -160,10 +161,8 @@ impl AtomCache {
     }
 
     /// Drop every entry whose generation is not the relation's current
-    /// one (per `current`, indexed by `RelId`). Call only once no
-    /// session is still pinned to an older snapshot; entries of
-    /// relations beyond `current` (unknown to the caller) are dropped
-    /// too.
+    /// one (per `current`, indexed by `RelId`); entries of relations
+    /// beyond `current` (unknown to the caller) are dropped too.
     pub fn purge_stale(&self, current: &[RelGeneration]) {
         self.memo
             .retain(|(gen, (rel, _)), _| current.get(rel.index()).copied() == Some(*gen));

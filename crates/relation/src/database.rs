@@ -5,6 +5,7 @@ use crate::symbol::{Symbol, SymbolTable};
 use crate::value::{Tuple, Value};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of a relation inside a [`Database`], stable across lookups.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -23,10 +24,16 @@ impl RelId {
 /// The active domain `D` is derived from the stored tuples; [`Database`]
 /// additionally owns the [`SymbolTable`] used to intern string constants so
 /// that values can be rendered back to text.
+///
+/// Relations are held behind `Arc`s, so a clone shares every relation —
+/// including its warmed group indexes and columnar mirror — and copies
+/// only pointers. Mutation goes through `Arc::make_mut`: a write
+/// deep-clones just the relation it touches, so value semantics are
+/// unchanged (mutating a clone never affects the original).
 #[derive(Clone, Default)]
 pub struct Database {
     symbols: SymbolTable,
-    relations: Vec<Relation>,
+    relations: Vec<Arc<Relation>>,
     by_name: HashMap<String, RelId>,
 }
 
@@ -63,7 +70,7 @@ impl Database {
         );
         let id = RelId(u32::try_from(self.relations.len()).expect("too many relations"));
         self.by_name.insert(name.clone(), id);
-        self.relations.push(Relation::new(name, arity));
+        self.relations.push(Arc::new(Relation::new(name, arity)));
         id
     }
 
@@ -75,15 +82,16 @@ impl Database {
         rows: Vec<Tuple>,
     ) -> RelId {
         let id = self.add_relation(name, arity);
+        let rel = self.relation_mut(id);
         for row in rows {
-            self.relations[id.index()].insert(row);
+            rel.insert(row);
         }
         id
     }
 
     /// Insert a tuple into an existing relation; returns `true` if new.
     pub fn insert(&mut self, rel: RelId, row: Tuple) -> bool {
-        self.relations[rel.index()].insert(row)
+        self.relation_mut(rel).insert(row)
     }
 
     /// Look up a relation id by name.
@@ -96,9 +104,10 @@ impl Database {
         &self.relations[id.index()]
     }
 
-    /// Mutable access to a relation by id (used by semijoin reduction).
+    /// Mutable access to a relation by id. A relation shared with a
+    /// clone of this database is deep-cloned first (copy-on-write).
     pub fn relation_mut(&mut self, id: RelId) -> &mut Relation {
-        &mut self.relations[id.index()]
+        Arc::make_mut(&mut self.relations[id.index()])
     }
 
     /// Access a relation by name.
@@ -119,7 +128,7 @@ impl Database {
 
     /// All relations, in creation order.
     pub fn relations(&self) -> impl ExactSizeIterator<Item = &Relation> {
-        self.relations.iter()
+        self.relations.iter().map(|r| &**r)
     }
 
     /// Number of relations `n`.
@@ -146,7 +155,7 @@ impl Database {
     /// The active domain: every constant appearing in some tuple.
     pub fn active_domain(&self) -> BTreeSet<Value> {
         let mut dom = BTreeSet::new();
-        for rel in &self.relations {
+        for rel in self.relations() {
             for row in rel.rows() {
                 dom.extend(row.iter().copied());
             }
@@ -157,7 +166,7 @@ impl Database {
     /// Render the database as text tables (for examples and debugging).
     pub fn render(&self) -> String {
         let mut out = String::new();
-        for rel in &self.relations {
+        for rel in self.relations() {
             out.push_str(&format!("{} (arity {}):\n", rel.name(), rel.arity()));
             for row in rel.rows() {
                 let cells: Vec<String> = row
@@ -173,7 +182,7 @@ impl Database {
 
 impl fmt::Debug for Database {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_list().entries(self.relations.iter()).finish()
+        f.debug_list().entries(self.relations()).finish()
     }
 }
 
@@ -209,6 +218,28 @@ mod tests {
         assert_eq!(db.total_tuples(), 3);
         assert_eq!(db.max_relation_size(), 2);
         assert_eq!(db.max_arity(), 3);
+    }
+
+    #[test]
+    fn clone_shares_relations_until_written() {
+        let mut db = Database::new();
+        let a = db.add_relation_with_rows("a", 1, vec![ints(&[1])]);
+        let b = db.add_relation_with_rows("b", 1, vec![ints(&[2])]);
+        let warm = db.relation(a).group_index(&[0]);
+        let mut copy = db.clone();
+        assert!(std::ptr::eq(db.relation(a), copy.relation(a)));
+        copy.insert(b, ints(&[3]));
+        copy.relation_mut(a).replace_rows(vec![ints(&[9])]);
+        // The original is unchanged, caches included...
+        assert_eq!(db.relation(a).rows().collect::<Vec<_>>(), vec![&ints(&[1])]);
+        assert_eq!(db.relation(b).len(), 1);
+        assert!(!db.relation(b).contains(&ints(&[3])));
+        assert!(Arc::ptr_eq(&warm, &db.relation(a).group_index(&[0])));
+        // ...while the clone owns its own copies of what it wrote.
+        assert!(!std::ptr::eq(db.relation(a), copy.relation(a)));
+        assert!(!std::ptr::eq(db.relation(b), copy.relation(b)));
+        assert!(copy.relation(a).contains(&ints(&[9])));
+        assert_eq!(copy.relation(b).len(), 2);
     }
 
     #[test]

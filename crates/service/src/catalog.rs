@@ -8,30 +8,29 @@
 //!   concurrently, and every relation's column-major mirror (when
 //!   `MQ_COLUMNAR` is on) and `group_index` are pre-warmed so the first
 //!   search pays neither the transposition nor the index builds;
-//! * each relation's rows additionally frozen into an
-//!   [`mq_store::ArenaRows`] — one contiguous allocation per relation
-//!   instead of one box per tuple, the storage protocol queries and
-//!   update paths read;
 //! * a `version` (bumped by every update) plus **per-relation
 //!   generations** ([`RelGeneration`]): the tags that key the entry's
 //!   persistent cross-search [`AtomCache`];
 //! * the entry's [`AtomCache`] itself, shared by every snapshot of the
 //!   entry across updates.
 //!
-//! Updates are **copy-on-write**: [`Catalog::append_rows`] /
-//! [`Catalog::replace_relation`] clone the current database, mutate the
-//! clone, bump `version` and the touched relation's generation, and
-//! publish a new snapshot. Sessions pinned to the old handle keep
+//! Updates are **copy-on-write at relation granularity** and cost
+//! O(touched relation), not O(database): a [`Database`] holds its
+//! relations behind `Arc`s, so [`Catalog::append_rows`] /
+//! [`Catalog::replace_relation`] clone only pointers, deep-clone just
+//! the relation they write, bump `version` and that relation's
+//! generation, and publish a new snapshot. Every untouched relation —
+//! rows, warmed indexes and columnar mirror — is the same allocation in
+//! the old and new snapshots. Sessions pinned to the old handle keep
 //! searching exactly the rows they started with (their memo services
 //! probe the old generations, so they never observe post-update
 //! bindings), while new sessions cold-start only the touched relation's
-//! atom-cache entries — every other relation's persist across the
-//! update.
+//! atom-cache entries. Each update then drops the stale generations
+//! from the atom cache, so it holds one generation's worth of entries.
 
 use mq_core::engine::memo::{shared_memo_enabled, AtomCache, RelGeneration, SharedMemos};
-use mq_relation::{Database, RelId, Tuple, Value};
+use mq_relation::{Database, RelId, Tuple};
 use mq_store::lock::{lock_recover, read_recover, write_recover};
-use mq_store::ArenaRows;
 use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -100,36 +99,32 @@ impl fmt::Display for CatalogError {
 impl std::error::Error for CatalogError {}
 
 /// An immutable snapshot of one catalog entry: the frozen database, its
-/// version and per-relation generations, the arena-frozen row storage,
-/// and the entry's persistent atom cache. Clones are O(1) (`Arc`
-/// handles); sessions pin the snapshot they were opened against.
+/// version and per-relation generations, and the entry's persistent
+/// atom cache. Clones are O(1) (`Arc` handles); sessions pin the
+/// snapshot they were opened against.
 #[derive(Clone)]
 pub struct DbHandle {
     name: Arc<str>,
     db: Arc<Database>,
     version: u64,
     rel_gens: Arc<Vec<RelGeneration>>,
-    frozen: Arc<Vec<ArenaRows<Value>>>,
     atoms: Arc<AtomCache>,
 }
 
 impl DbHandle {
     /// Freeze `db` into a snapshot: pre-warm every relation's
-    /// single-column `group_index` (the indexes the planner's join keys
-    /// overwhelmingly probe) and freeze each relation's rows into one
-    /// contiguous arena. `reuse` lets an update clone the untouched
-    /// relations' arenas (O(1) handle copies) and *extend* the touched
-    /// relation's arena in place when the update was a pure append.
-    /// This is O(total db) work; [`Catalog::update_with`] runs it
-    /// outside the catalog map lock so snapshots and queries are never
-    /// blocked behind it.
+    /// column-major mirror and single-column `group_index` (the indexes
+    /// the planner's join keys overwhelmingly probe). Relations shared
+    /// with the previous snapshot are already warm, so after an update
+    /// only the touched relation does work. [`Catalog::update_with`]
+    /// runs this outside the catalog map lock so snapshots and queries
+    /// are never blocked behind it.
     fn freeze(
         name: Arc<str>,
         db: Database,
         version: u64,
         rel_gens: Vec<RelGeneration>,
         atoms: Arc<AtomCache>,
-        reuse: Option<(&DbHandle, RelId)>,
     ) -> Self {
         let _span = mq_obs::trace::SpanGuard::start_always(mq_obs::trace::CATALOG_FREEZE);
         for rel in db.relations() {
@@ -143,39 +138,11 @@ impl DbHandle {
                 let _ = rel.group_index(&[col]);
             }
         }
-        let frozen: Vec<ArenaRows<Value>> = db
-            .rel_ids()
-            .map(|id| {
-                let rel = db.relation(id);
-                let rows = rel.rows_slice();
-                match reuse.and_then(|(prev, touched)| {
-                    prev.frozen.get(id.index()).map(|old| (old, touched))
-                }) {
-                    // Untouched relations share the previous snapshot's
-                    // arena (rows are identical).
-                    Some((old, touched)) if id != touched => old.clone(),
-                    // An append leaves the old rows as a prefix
-                    // (insertion order is preserved, duplicates are
-                    // dropped): extend the old arena with one contiguous
-                    // copy of just the new rows.
-                    Some((old, _))
-                        if old.arity() == rel.arity()
-                            && old.len() <= rows.len()
-                            && old.rows().zip(rows).all(|(a, b)| a == &b[..]) =>
-                    {
-                        old.extended(&rows[old.len()..])
-                    }
-                    // Replacement (or a brand-new relation): re-freeze.
-                    _ => ArenaRows::from_rows(rel.arity(), rows),
-                }
-            })
-            .collect();
         DbHandle {
             name,
             db: Arc::new(db),
             version,
             rel_gens: Arc::new(rel_gens),
-            frozen: Arc::new(frozen),
             atoms,
         }
     }
@@ -205,14 +172,9 @@ impl DbHandle {
         &self.rel_gens
     }
 
-    /// The arena-frozen rows of relation `rel`.
-    pub fn frozen_rows(&self, rel: RelId) -> &ArenaRows<Value> {
-        &self.frozen[rel.index()]
-    }
-
-    /// Total tuples across the frozen relations.
+    /// Total tuples across the snapshot's relations.
     pub fn total_tuples(&self) -> usize {
-        self.frozen.iter().map(ArenaRows::len).sum()
+        self.db.total_tuples()
     }
 
     /// The entry's persistent cross-search atom cache (shared by every
@@ -244,14 +206,14 @@ impl fmt::Debug for DbHandle {
             "DbHandle({} v{}, {} relations, {} tuples)",
             self.name,
             self.version,
-            self.frozen.len(),
+            self.db.num_relations(),
             self.total_tuples()
         )
     }
 }
 
 /// One catalog entry: the published snapshot plus a per-entry update
-/// lock, so the O(db) snapshot build of an update runs without holding
+/// lock, so the snapshot build of an update runs without holding
 /// the catalog-wide map lock (snapshots and queries are never blocked
 /// behind it) while concurrent updates of the *same* entry still
 /// serialize (no lost updates).
@@ -290,7 +252,6 @@ impl Catalog {
             1,
             vec![1; n_relations],
             Arc::new(AtomCache::new()),
-            None,
         );
         let mut entries = write_recover(&self.entries);
         if entries.contains_key(name) {
@@ -322,17 +283,18 @@ impl Catalog {
     }
 
     /// Copy-on-write update of one relation: clone the current snapshot's
-    /// database, let `touch` mutate it (returning the touched relation),
-    /// bump the entry version and the touched relation's generation, and
-    /// publish the new snapshot. Sessions holding the old [`DbHandle`]
-    /// are unaffected; the entry's atom cache keeps every untouched
-    /// relation's entries warm (their generations don't change).
+    /// database (pointer copies only), let `touch` mutate it (returning
+    /// the touched relation, which alone is deep-cloned), bump the entry
+    /// version and the touched relation's generation, and publish the
+    /// new snapshot. Sessions holding the old [`DbHandle`] are
+    /// unaffected; the entry's atom cache keeps every untouched
+    /// relation's entries warm (their generations don't change) and
+    /// drops every stale generation once the new snapshot is published.
     ///
-    /// The O(db) clone/warm/freeze runs under the entry's private update
-    /// lock only — the catalog map lock is held just to fetch the
-    /// current snapshot and to publish the new one, so concurrent
-    /// snapshots and queries (of this or any other entry) never stall
-    /// behind an update.
+    /// The clone/warm runs under the entry's private update lock only —
+    /// the catalog map lock is held just to fetch the current snapshot
+    /// and to publish the new one, so concurrent snapshots and queries
+    /// (of this or any other entry) never stall behind an update.
     pub fn update_with(
         &self,
         name: &str,
@@ -374,13 +336,16 @@ impl Catalog {
             version,
             rel_gens,
             Arc::clone(&current.atoms),
-            Some((&current, touched)),
         );
-        let mut entries = write_recover(&self.entries);
-        let entry = entries
+        write_recover(&self.entries)
             .get_mut(name)
-            .ok_or_else(|| CatalogError::UnknownDb(name.to_string()))?;
-        entry.handle = handle.clone();
+            .ok_or_else(|| CatalogError::UnknownDb(name.to_string()))?
+            .handle = handle.clone();
+        // Generation keys make this safe with searches still pinned to
+        // an older snapshot: they keep their search-local memo, and at
+        // worst republish an atom under its old generation, which the
+        // next update drops again.
+        handle.atoms.purge_stale(&handle.rel_gens);
         Ok(handle)
     }
 
@@ -415,16 +380,6 @@ impl Catalog {
             db.relation_mut(rel).replace_rows(rows);
             Ok(rel)
         })
-    }
-
-    /// Maintenance sweep: drop every atom-cache entry of `name` whose
-    /// generation is no longer current. Only call once no session is
-    /// still pinned to an older snapshot — stale entries are harmless
-    /// (old snapshots *need* them), they just hold memory.
-    pub fn purge_stale(&self, name: &str) -> Result<(), CatalogError> {
-        let handle = self.snapshot(name)?;
-        handle.atoms.purge_stale(&handle.rel_gens);
-        Ok(())
     }
 }
 
@@ -497,8 +452,8 @@ mod tests {
         assert_eq!(h.total_tuples(), 3);
         let p = h.database().rel_id("p").unwrap();
         assert_eq!(h.generation(p), 1);
-        assert_eq!(h.frozen_rows(p).len(), 2);
-        assert_eq!(h.frozen_rows(p).row(0), &ints(&[1, 2])[..]);
+        assert_eq!(h.database().relation(p).len(), 2);
+        assert_eq!(h.database().relation(p).row(0), &ints(&[1, 2]));
         assert_eq!(
             cat.register("tele", sample_db()).unwrap_err(),
             CatalogError::DuplicateDb("tele".into())
@@ -512,17 +467,31 @@ mod tests {
         let old = cat.register("tele", sample_db()).unwrap();
         let p = old.database().rel_id("p").unwrap();
         let q = old.database().rel_id("q").unwrap();
+        let old_index = old.database().relation(p).group_index(&[0]);
+        let old_mirror = old.database().relation(p).columnar();
         let new = cat.append_rows("tele", "q", vec![ints(&[9, 9])]).unwrap();
         assert_eq!(new.version(), 2);
         assert_eq!(new.generation(q), 2, "touched relation bumps");
         assert_eq!(new.generation(p), 1, "untouched relation keeps its gen");
         // The old snapshot is frozen: still 1 q-row, version 1.
         assert_eq!(old.version(), 1);
-        assert_eq!(old.database().relation(q).len(), 1);
+        let old_q: Vec<_> = old.database().relation(q).rows().cloned().collect();
+        assert_eq!(old_q, vec![ints(&[2, 4])]);
         assert_eq!(new.database().relation(q).len(), 2);
-        // Untouched relations share arena storage with the old snapshot.
-        assert!(ArenaRows::ptr_eq(old.frozen_rows(p), new.frozen_rows(p)));
-        assert!(!ArenaRows::ptr_eq(old.frozen_rows(q), new.frozen_rows(q)));
+        // The untouched relation is the same allocation in both
+        // snapshots, with its warmed index and columnar mirror...
+        let new_p = new.database().relation(p);
+        assert!(std::ptr::eq(old.database().relation(p), new_p));
+        assert!(Arc::ptr_eq(&old_index, &new_p.group_index(&[0])));
+        assert!(mq_store::ColumnarRows::ptr_eq(
+            &old_mirror,
+            &new_p.columnar()
+        ));
+        // ...while the touched relation was copied.
+        assert!(!std::ptr::eq(
+            old.database().relation(q),
+            new.database().relation(q)
+        ));
         // The catalog now serves the new snapshot.
         assert_eq!(cat.snapshot("tele").unwrap().version(), 2);
     }
@@ -537,7 +506,6 @@ mod tests {
         let p = h.database().rel_id("p").unwrap();
         assert_eq!(h.database().relation(p).len(), 1);
         assert!(h.database().relation(p).contains(&ints(&[7, 8])));
-        assert_eq!(h.frozen_rows(p).len(), 1);
     }
 
     #[test]
@@ -588,29 +556,58 @@ mod tests {
     }
 
     #[test]
-    fn purge_stale_drops_only_old_generations() {
-        use mq_core::engine::find_rules::find_rules_shared;
-        use mq_core::engine::Thresholds;
+    fn atom_cache_stays_bounded_under_append_churn() {
+        use mq_core::engine::find_rules::{find_rules_seq, find_rules_shared};
+        use mq_core::engine::{MqAnswer, Thresholds};
         use mq_core::instantiate::InstType;
         use mq_core::parse::parse_metaquery;
 
         let cat = Catalog::new();
-        let h = cat.register("tele", sample_db()).unwrap();
-        let Some(memos) = h.memo_service() else {
+        let pinned = cat.register("tele", sample_db()).unwrap();
+        let mq = parse_metaquery("R(X,Z) <- P(X,Y), Q(Y,Z)").unwrap();
+        let mine = |h: &DbHandle| -> Option<Vec<MqAnswer>> {
+            let memos = h.memo_service()?;
+            Some(
+                find_rules_shared(h.database(), &mq, InstType::Zero, Thresholds::none(), memos)
+                    .unwrap(),
+            )
+        };
+        let seq = |h: &DbHandle| {
+            find_rules_seq(h.database(), &mq, InstType::Zero, Thresholds::none()).unwrap()
+        };
+        let Some(first) = mine(&pinned) else {
             // MQ_SHARED_MEMO=0 in this environment: the persistent cache
-            // sees no traffic, nothing to purge.
+            // sees no traffic.
             return;
         };
-        let mq = parse_metaquery("R(X,Z) <- P(X,Y), Q(Y,Z)").unwrap();
-        let _ = find_rules_shared(h.database(), &mq, InstType::Zero, Thresholds::none(), memos)
-            .unwrap();
-        let cache = Arc::clone(h.atom_cache());
-        let before = cache.len();
-        assert!(before > 0, "the search must have warmed the atom cache");
-        cat.append_rows("tele", "q", vec![ints(&[5, 6])]).unwrap();
-        cat.purge_stale("tele").unwrap();
-        let after = cache.len();
-        assert!(after < before, "stale q entries must be dropped");
-        assert!(after > 0, "untouched p entries must survive");
+        assert_eq!(first, seq(&pinned));
+        let cache = Arc::clone(pinned.atom_cache());
+        let warm = cache.len();
+        assert!(warm > 0, "the search must have warmed the atom cache");
+        for i in 0..40i64 {
+            let rel = if i % 3 == 0 { "p" } else { "q" };
+            let h = cat
+                .append_rows("tele", rel, vec![ints(&[i, i + 1])])
+                .unwrap();
+            assert!(
+                cache.len() < warm,
+                "the update must drop {rel}'s stale entries"
+            );
+            assert_eq!(mine(&h).unwrap(), seq(&h));
+            assert!(
+                cache.len() <= warm,
+                "{} entries > {warm} after warm-up",
+                cache.len()
+            );
+            // Every entry carries a current generation: purging by the
+            // current generations drops nothing.
+            let len = cache.len();
+            cache.purge_stale(h.generations());
+            assert_eq!(cache.len(), len, "a stale generation outlived update {i}");
+        }
+        // A search pinned to the very first snapshot still answers over
+        // exactly its own rows.
+        assert_eq!(pinned.database().total_tuples(), 3);
+        assert_eq!(mine(&pinned).unwrap(), seq(&pinned));
     }
 }

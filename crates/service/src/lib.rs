@@ -6,13 +6,15 @@
 //! searches instead of just across one search's workers:
 //!
 //! * [`Catalog`] / [`DbHandle`] — named, **generation-tagged** frozen
-//!   database snapshots: pre-warmed `group_index`es, arena-frozen row
-//!   storage ([`mq_store::ArenaRows`]), and a persistent cross-search
-//!   atom cache per entry (`mq_core::engine::memo::AtomCache`, keyed by
-//!   `(relation generation, relation, terms)`). Updates are
-//!   copy-on-write: the entry version and only the touched relation's
-//!   generation bump, running sessions finish on their snapshot, and
-//!   every untouched relation's cache entries stay warm.
+//!   database snapshots: pre-warmed `group_index`es and columnar
+//!   mirrors, and a persistent cross-search atom cache per entry
+//!   (`mq_core::engine::memo::AtomCache`, keyed by `(relation
+//!   generation, relation, terms)`). Updates are copy-on-write per
+//!   relation and cost O(touched relation): snapshots share every
+//!   untouched relation (rows and warmed indexes), the entry version
+//!   and only the touched relation's generation bump, running sessions
+//!   finish on their snapshot, every untouched relation's cache entries
+//!   stay warm, and stale generations are dropped from the cache.
 //! * [`MqService`] / [`Session`] — the session manager: admission
 //!   control (bounded concurrent searches), per-session budgets, and a
 //!   per-search memo service seeded from the catalog's atom cache

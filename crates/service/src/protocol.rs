@@ -10,7 +10,7 @@
 //! mine <name> [type=0|1|2] [sup=K] [cvr=K] [cnf=K] [limit=N] :: <metaquery>
 //! append <name> <relation> <v,v,..> [<v,v,..> ...]
 //! replace <name> <relation> [<v,v,..> ...]
-//! dump <name> <relation> [limit]           rows from the frozen arena
+//! dump <name> <relation> [limit]           rows of the current snapshot
 //! stats <name>
 //! metrics                                  Prometheus-text registry dump
 //! health                                   SLO verdict, rules, incidents
@@ -374,9 +374,8 @@ fn cmd_update(service: &MqService, rest: &str, kind: UpdateKind) -> Reply {
     }
 }
 
-/// Serve a relation's rows straight from the snapshot's frozen arena
-/// (never touching the live `Relation`): the arena is the read surface
-/// row-dump traffic is meant to hit, one contiguous scan per reply.
+/// Serve a relation's rows from the current snapshot, in insertion
+/// order; later updates publish new snapshots and never disturb a dump.
 fn cmd_dump(service: &MqService, rest: &str) -> Reply {
     let mut words = rest.split_whitespace();
     let (Some(name), Some(rel)) = (words.next(), words.next()) else {
@@ -400,15 +399,15 @@ fn cmd_dump(service: &MqService, rest: &str) -> Reply {
             format_args!("database `{name}` has no relation `{rel}`"),
         );
     };
-    let arena = handle.frozen_rows(rel_id);
+    let relation = db.relation(rel_id);
     let mut lines = vec![format!(
         "ok dump {name} {rel} rows={} generation={} version={}",
-        arena.len(),
+        relation.len(),
         handle.generation(rel_id),
         handle.version()
     )];
     let symbols = db.symbols();
-    for row in arena.rows().take(limit) {
+    for row in relation.rows().take(limit) {
         let cells: Vec<String> = row.iter().map(|v| v.display(symbols).to_string()).collect();
         lines.push(format!("row {}", cells.join(",")));
     }
@@ -440,7 +439,7 @@ fn cmd_stats(service: &MqService, rest: &str) -> Reply {
             "relation {}/{} rows={} generation={}",
             rel.name(),
             rel.arity(),
-            handle.frozen_rows(id).len(),
+            rel.len(),
             handle.generation(id)
         ));
     }
@@ -720,7 +719,7 @@ mod tests {
     }
 
     #[test]
-    fn dump_serves_rows_from_the_arena() {
+    fn dump_serves_rows_from_the_snapshot() {
         let svc = service_with_db();
         let reply = handle_line(&svc, "dump tele p");
         let lines = reply.lines();

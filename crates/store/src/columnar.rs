@@ -1,7 +1,6 @@
 //! Column-major frozen row storage: one contiguous buffer per column.
 //!
-//! [`ArenaRows`](crate::ArenaRows) made row storage contiguous; a
-//! [`ColumnarRows`] turns the layout ninety degrees. All values of
+//! A [`ColumnarRows`] stores rows column by column: all values of
 //! column `c` sit back to back in **one** buffer, so a kernel that only
 //! touches the key columns of a relation — hash-join probing, grouped
 //! index builds, distinct counting — walks a dense `&[V]` slice instead
