@@ -1,8 +1,8 @@
 //! The plan executor: an interpreter over the [`crate::plan`] IR.
 //!
 //! One [`Executor`] lives inside each search engine (one per parallel
-//! worker). It owns handles to the three memo layers that make repeated
-//! plan execution cheap:
+//! worker). It holds a handle to the search-global [`SharedMemos`]
+//! service, whose three memo layers make repeated plan execution cheap:
 //!
 //! * **atom cache** — instantiated-atom bindings keyed by
 //!   `(relation, terms)`: instantiations overwhelmingly share atom
@@ -14,16 +14,10 @@
 //!   plus its operands, sibling plans that share a planned prefix share
 //!   node ids, and the memo resumes them from the cached intermediate.
 //!
-//! The memos come in two backings:
-//!
-//! * **Shared** (the default) — handles into the search-global
-//!   [`SharedMemos`] service: every scheduler worker reads and publishes
-//!   into one memo, so an intermediate computed by any worker is a hit
-//!   for all of them. Sound because every memo value is a deterministic
-//!   function of its key and publication is first-writer-wins.
-//! * **Private** (`MQ_SHARED_MEMO=0`) — the PR 3 layout: one arena, one
-//!   atom/plan map and one dense id-indexed result vector per executor,
-//!   traveling with the worker that owns it.
+//! Every scheduler worker reads and publishes into the one service, so
+//! an intermediate computed by any worker is a hit for all of them.
+//! Sound because every memo value is a deterministic function of its key
+//! and publication is first-writer-wins.
 //!
 //! In baseline mode ([`mq_relation::baseline_mode`]) the executor
 //! reproduces the pre-optimization engine faithfully: atoms re-evaluated
@@ -31,38 +25,18 @@
 
 use crate::engine::memo::{PlanKey, SharedMemos};
 use crate::plan::{
-    build_node_plan_ordered, AtomKey, CountOp, CountPlan, JoinAtomStats, PlanArena, PlanNodeId,
-    PlanOp,
+    build_node_plan_ordered, AtomKey, CountOp, CountPlan, JoinAtomStats, PlanNodeId, PlanOp,
 };
 use mq_obs::profile::{NodeStat, SearchProfile};
 use mq_relation::{Bindings, Database, VarId};
-use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-
-/// The executor's memo backing: private per-worker slices, or handles
-/// into the cross-worker shared memo service.
-enum Memos {
-    /// One memo slice per executor (the `MQ_SHARED_MEMO=0` escape
-    /// hatch): an arena plus maps only this worker touches.
-    Private {
-        arena: PlanArena,
-        /// Memo of instantiated-atom bindings, keyed by `(relation, terms)`.
-        atom_cache: HashMap<AtomKey, Arc<Bindings>>,
-        /// `(χ, λ atom keys) → plan root` — "decide once".
-        plan_cache: HashMap<PlanKey, PlanNodeId>,
-        /// Plan-node id → result, aligned with the arena ("execute many").
-        results: Vec<Option<Arc<Bindings>>>,
-    },
-    /// Handles into the search-global shared memo service.
-    Shared(Arc<SharedMemos>),
-}
 
 /// Interprets [`crate::plan`] IR against a database, memoizing per
 /// plan-node id. Cheap to construct — one per search engine.
 pub(crate) struct Executor<'a> {
     db: &'a Database,
-    memos: Memos,
+    memos: Arc<SharedMemos>,
     /// The search's profile sink (`mq-obs`), when the caller asked for
     /// one. Node evals and memo hits accumulate in the worker-local
     /// fields below and flush into the shared profile exactly once — on
@@ -80,25 +54,15 @@ pub(crate) struct Executor<'a> {
 }
 
 impl<'a> Executor<'a> {
-    /// An executor over `db`. With `shared = Some(service)` all memo
-    /// traffic goes through the cross-worker service; with `None` the
-    /// executor owns private memo slices. `profile` (when given)
-    /// receives this worker's node-eval totals — and per-node detail if
-    /// it is a detailed profile — when the executor drops.
+    /// An executor over `db` whose memo traffic goes through `memos`.
+    /// `profile` (when given) receives this worker's node-eval totals —
+    /// and per-node detail if it is a detailed profile — when the
+    /// executor drops.
     pub(crate) fn new(
         db: &'a Database,
-        shared: Option<Arc<SharedMemos>>,
+        memos: Arc<SharedMemos>,
         profile: Option<Arc<SearchProfile>>,
     ) -> Self {
-        let memos = match shared {
-            Some(s) => Memos::Shared(s),
-            None => Memos::Private {
-                arena: PlanArena::new(),
-                atom_cache: HashMap::new(),
-                plan_cache: HashMap::new(),
-                results: Vec::new(),
-            },
-        };
         let detailed = profile.as_deref().is_some_and(SearchProfile::is_detailed);
         Executor {
             db,
@@ -139,21 +103,12 @@ impl<'a> Executor<'a> {
             return Arc::new(Bindings::from_atom(self.db.relation(key.0), &key.1));
         }
         let db = self.db;
-        match &mut self.memos {
-            Memos::Private { atom_cache, .. } => {
-                Arc::clone(atom_cache.entry(key).or_insert_with_key(|(rel, terms)| {
-                    Arc::new(Bindings::from_atom(db.relation(*rel), terms))
-                }))
-            }
-            Memos::Shared(memos) => {
-                // The service consults the search-local atom memo, then
-                // (when seeded by the serving layer) the persistent
-                // cross-search cache under the snapshot's generations.
-                memos.atom_or_compute(key, |(rel, terms)| {
-                    Arc::new(Bindings::from_atom(db.relation(*rel), terms))
-                })
-            }
-        }
+        // The service consults the search-local atom memo, then (when
+        // seeded by the serving layer) the persistent cross-search cache
+        // under the snapshot's generations.
+        self.memos.atom_or_compute(key, |(rel, terms)| {
+            Arc::new(Bindings::from_atom(db.relation(*rel), terms))
+        })
     }
 
     /// `π_χ(J(σi(λ(p_ν(i)))))`: plan (or fetch the cached plan for) the
@@ -180,11 +135,7 @@ impl<'a> Executor<'a> {
             return Arc::new(join.project(chi));
         }
         let cache_key: PlanKey = (chi.to_vec(), atom_keys);
-        let cached_root = match &self.memos {
-            Memos::Private { plan_cache, .. } => plan_cache.get(&cache_key).copied(),
-            Memos::Shared(memos) => memos.plans.get(&cache_key),
-        };
-        if let Some(root) = cached_root {
+        if let Some(root) = self.memos.plans.get(&cache_key) {
             return self.exec(root);
         }
         let atoms: Vec<Arc<Bindings>> = cache_key
@@ -203,61 +154,34 @@ impl<'a> Executor<'a> {
             atoms[i].len() as f64 / atoms[i].distinct_keys(shared).max(1) as f64
         };
         // Costing probes row statistics (index builds); do it before any
-        // arena lock so shared-mode planning never serializes workers on
-        // O(rows) work.
+        // arena lock so planning never serializes workers on O(rows) work.
         let order = crate::plan::plan_join_order(&stats, expansion);
-        let root = match &mut self.memos {
-            Memos::Private {
-                arena, plan_cache, ..
-            } => {
-                let root = build_node_plan_ordered(arena, chi, &cache_key.1, &stats, &order);
-                plan_cache.insert(cache_key, root);
-                root
-            }
-            Memos::Shared(memos) => {
-                // Interning is idempotent, so racing planners converge
-                // on identical node ids; the plan cache then keeps the
-                // first-published (equal) root. Only the pure intern
-                // runs under the shared arena's write lock.
-                let root = memos.intern_plan(|arena| {
-                    build_node_plan_ordered(arena, chi, &cache_key.1, &stats, &order)
-                });
-                memos.plans.publish(cache_key, root)
-            }
-        };
+        // Interning is idempotent, so racing planners converge on
+        // identical node ids; the plan cache then keeps the
+        // first-published (equal) root. Only the pure intern runs under
+        // the shared arena's write lock.
+        let root = self
+            .memos
+            .intern_plan(|arena| build_node_plan_ordered(arena, chi, &cache_key.1, &stats, &order));
+        let root = self.memos.plans.publish(cache_key, root);
         self.exec(root)
     }
 
     /// The memoized result of node `id`, if present.
     fn result_hit(&self, id: PlanNodeId) -> Option<Arc<Bindings>> {
-        match &self.memos {
-            Memos::Private { results, .. } => results.get(id.0 as usize).and_then(Clone::clone),
-            Memos::Shared(memos) => memos.results.get(&id),
-        }
+        self.memos.results.get(&id)
     }
 
     /// Publish `out` as node `id`'s result; returns the canonical value
-    /// (a racing worker's first-published result wins in shared mode —
-    /// byte-identical either way, since node execution is deterministic).
+    /// (a racing worker's first-published result wins — byte-identical
+    /// either way, since node execution is deterministic).
     fn result_publish(&mut self, id: PlanNodeId, out: Arc<Bindings>) -> Arc<Bindings> {
-        match &mut self.memos {
-            Memos::Private { arena, results, .. } => {
-                if results.len() < arena.len() {
-                    results.resize(arena.len(), None);
-                }
-                results[id.0 as usize] = Some(Arc::clone(&out));
-                out
-            }
-            Memos::Shared(memos) => memos.results.publish(id, out),
-        }
+        self.memos.results.publish(id, out)
     }
 
     /// The operator of node `id`.
     fn op(&self, id: PlanNodeId) -> PlanOp {
-        match &self.memos {
-            Memos::Private { arena, .. } => arena.op(id).clone(),
-            Memos::Shared(memos) => memos.op(id),
-        }
+        self.memos.op(id)
     }
 
     /// Execute plan node `id`, memoized per node id. Recursion depth is

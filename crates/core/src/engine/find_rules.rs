@@ -84,8 +84,8 @@ pub fn find_rules(
 /// deterministic function of its key and the snapshot the generations
 /// describe (see the memo-sharing contract in `ARCHITECTURE.md`).
 ///
-/// In baseline mode the supplied service is ignored (the baseline engine
-/// bypasses every memo by design).
+/// In baseline mode the supplied service sees no traffic (the baseline
+/// engine bypasses every memo by design).
 pub fn find_rules_shared(
     db: &Database,
     mq: &Metaquery,
@@ -106,8 +106,8 @@ pub fn find_rules_shared(
 /// scheduler's task loop) and, once it expires, unwinds and returns
 /// [`InstError::DeadlineExceeded`] instead of a partial answer set —
 /// partial answers are never surfaced, so every `Ok` is still
-/// byte-identical to [`find_rules_seq`]. `memos: None` keeps the
-/// default memo-service resolution; `max_wall_ms: None` runs unbounded
+/// byte-identical to [`find_rules_seq`]. `memos: None` gives the search
+/// a fresh memo service; `max_wall_ms: None` runs unbounded
 /// (exactly [`find_rules_shared`] / [`find_rules`]).
 pub fn find_rules_budgeted(
     db: &Database,
@@ -227,7 +227,7 @@ pub fn find_rules_with(
 }
 
 /// [`find_rules_with`] with an optionally supplied memo service (`None`
-/// keeps the default per-search service resolution) — the streaming
+/// gives the search a fresh one) — the streaming
 /// sibling of [`find_rules_shared`], used by serving-layer callers that
 /// want early termination under a persistent atom cache.
 pub fn find_rules_with_memos(
@@ -362,13 +362,11 @@ pub(crate) struct Setup<'a> {
     /// `|inputs[0] ⋉ inputs[1]|` (cvr feeds `[h, b]`, cnf `[b, h]`).
     semijoin_count_plan: CountPlan,
     /// The cross-worker shared memo service (atoms, plans, node
-    /// results), created once per search when `MQ_SHARED_MEMO` is on
-    /// (the default) — or supplied by the serving layer, possibly seeded
-    /// with a persistent cross-search atom cache — and handed to every
-    /// worker's executor. `None` means each worker warms a private memo
-    /// slice (the escape hatch, and baseline mode — which bypasses memos
-    /// anyway).
-    pub(crate) shared_memos: Option<Arc<super::memo::SharedMemos>>,
+    /// results), created once per search — or supplied by the serving
+    /// layer, possibly seeded with a persistent cross-search atom cache
+    /// — and handed to every worker's executor. Baseline mode keeps one
+    /// too; its executor bypasses every memo.
+    pub(crate) shared_memos: Arc<super::memo::SharedMemos>,
     /// Optional wall-clock budget, polled cooperatively by every engine
     /// and by the scheduler's task loop. `None` (every entry point but
     /// [`find_rules_budgeted`]) is a single branch on the hot path.
@@ -394,11 +392,8 @@ impl<'a> Setup<'a> {
         Setup::with_memo_service(db, mq, ty, thresholds, None)
     }
 
-    /// [`Setup::new`] with an externally supplied memo service. `None`
-    /// resolves the default (fresh service when shared memos are
-    /// enabled); `Some` is honored unconditionally — except in baseline
-    /// mode, which bypasses every memo to reproduce the pre-optimization
-    /// engine faithfully.
+    /// [`Setup::new`] with an externally supplied memo service (`None`
+    /// creates a fresh one).
     pub(crate) fn with_memo_service(
         db: &'a Database,
         mq: &'a Metaquery,
@@ -503,14 +498,8 @@ impl<'a> Setup<'a> {
             pattern_pv,
             enum_order,
             semijoin_count_plan: CountPlan::semijoin_count(0, 1),
-            shared_memos: if mq_relation::baseline_mode() {
-                None
-            } else {
-                external_memos.or_else(|| {
-                    super::memo::shared_memo_enabled()
-                        .then(|| Arc::new(super::memo::SharedMemos::new()))
-                })
-            },
+            shared_memos: external_memos
+                .unwrap_or_else(|| Arc::new(super::memo::SharedMemos::new())),
             deadline: None,
             profile: None,
             obs_req: 0,

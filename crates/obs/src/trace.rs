@@ -27,8 +27,7 @@
 //! slow-query log. Both are read once from the environment and
 //! overridable through process-wide atomics
 //! ([`set_trace_override`]/[`set_slow_ms_override`]) — never by mutating
-//! the environment, which is unsound under concurrent reads (the same
-//! pattern as `MQ_SHARED_MEMO`).
+//! the environment, which is unsound under concurrent reads.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};

@@ -5,9 +5,9 @@
 //!
 //! * the [`Database`] itself behind an `Arc`, **frozen** at registration
 //!   — nothing mutates it, so any number of sessions can search it
-//!   concurrently, and every relation's column-major mirror (when
-//!   `MQ_COLUMNAR` is on) and `group_index` are pre-warmed so the first
-//!   search pays neither the transposition nor the index builds;
+//!   concurrently, and every relation's column-major mirror and
+//!   `group_index` are pre-warmed so the first search pays neither the
+//!   transposition nor the index builds;
 //! * a `version` (bumped by every update) plus **per-relation
 //!   generations** ([`RelGeneration`]): the tags that key the entry's
 //!   persistent cross-search [`AtomCache`];
@@ -28,7 +28,7 @@
 //! atom-cache entries. Each update then drops the stale generations
 //! from the atom cache, so it holds one generation's worth of entries.
 
-use mq_core::engine::memo::{shared_memo_enabled, AtomCache, RelGeneration, SharedMemos};
+use mq_core::engine::memo::{AtomCache, RelGeneration, SharedMemos};
 use mq_relation::{Database, RelId, Tuple};
 use mq_store::lock::{lock_recover, read_recover, write_recover};
 use std::collections::HashMap;
@@ -131,9 +131,7 @@ impl DbHandle {
             // Warm the column-major mirror first so the single-column
             // index builds below scan columns, not boxed rows — and so
             // the first search's columnar kernels find it ready.
-            if mq_relation::columnar_enabled() {
-                let _ = rel.columnar();
-            }
+            let _ = rel.columnar();
             for col in 0..rel.arity() {
                 let _ = rel.group_index(&[col]);
             }
@@ -185,17 +183,15 @@ impl DbHandle {
 
     /// A fresh per-search memo service seeded from the entry's
     /// persistent atom cache under this snapshot's generations — what
-    /// the session layer hands to `find_rules_shared`. `None` when the
-    /// shared memo service is disabled (`MQ_SHARED_MEMO=0`): searches
-    /// then fall back to private per-worker memos and the persistent
-    /// cache sees no traffic.
+    /// the session layer hands to the search. Always `Some`: the
+    /// `Option` matches the `memos` parameter of `find_rules_instrumented`
+    /// (where `None` means "a fresh, unseeded service"), so callers pass
+    /// it straight through.
     pub fn memo_service(&self) -> Option<Arc<SharedMemos>> {
-        shared_memo_enabled().then(|| {
-            Arc::new(SharedMemos::with_persistent_atoms(
-                Arc::clone(&self.atoms),
-                Arc::clone(&self.rel_gens),
-            ))
-        })
+        Some(Arc::new(SharedMemos::with_persistent_atoms(
+            Arc::clone(&self.atoms),
+            Arc::clone(&self.rel_gens),
+        )))
     }
 }
 
@@ -565,21 +561,14 @@ mod tests {
         let cat = Catalog::new();
         let pinned = cat.register("tele", sample_db()).unwrap();
         let mq = parse_metaquery("R(X,Z) <- P(X,Y), Q(Y,Z)").unwrap();
-        let mine = |h: &DbHandle| -> Option<Vec<MqAnswer>> {
-            let memos = h.memo_service()?;
-            Some(
-                find_rules_shared(h.database(), &mq, InstType::Zero, Thresholds::none(), memos)
-                    .unwrap(),
-            )
+        let mine = |h: &DbHandle| -> Vec<MqAnswer> {
+            let memos = h.memo_service().expect("memo_service is always Some");
+            find_rules_shared(h.database(), &mq, InstType::Zero, Thresholds::none(), memos).unwrap()
         };
         let seq = |h: &DbHandle| {
             find_rules_seq(h.database(), &mq, InstType::Zero, Thresholds::none()).unwrap()
         };
-        let Some(first) = mine(&pinned) else {
-            // MQ_SHARED_MEMO=0 in this environment: the persistent cache
-            // sees no traffic.
-            return;
-        };
+        let first = mine(&pinned);
         assert_eq!(first, seq(&pinned));
         let cache = Arc::clone(pinned.atom_cache());
         let warm = cache.len();
@@ -593,7 +582,7 @@ mod tests {
                 cache.len() < warm,
                 "the update must drop {rel}'s stale entries"
             );
-            assert_eq!(mine(&h).unwrap(), seq(&h));
+            assert_eq!(mine(&h), seq(&h));
             assert!(
                 cache.len() <= warm,
                 "{} entries > {warm} after warm-up",
@@ -608,6 +597,6 @@ mod tests {
         // A search pinned to the very first snapshot still answers over
         // exactly its own rows.
         assert_eq!(pinned.database().total_tuples(), 3);
-        assert_eq!(mine(&pinned).unwrap(), seq(&pinned));
+        assert_eq!(mine(&pinned), seq(&pinned));
     }
 }

@@ -664,8 +664,6 @@ impl MqService {
         let searched = catch_unwind(AssertUnwindSafe(|| {
             let _span = trace::SpanGuard::start_always(trace::SEARCH_RUN);
             self.search_panic.maybe_panic();
-            // `memos: None` (MQ_SHARED_MEMO=0) keeps the engine's own
-            // resolution: private per-worker memos, no persistence.
             find_rules_instrumented(
                 handle.database(),
                 mq,

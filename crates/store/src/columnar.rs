@@ -11,8 +11,8 @@
 //! Like the other frozen stores, the column set sits behind an `Arc`:
 //! handle clones are O(1), the storage never mutates once built, and
 //! the whole value is `Send + Sync`. The relational layer keeps a
-//! `ColumnarRows<Value>` mirror beside its row-major tuples and routes
-//! the keyed kernels through it when the `MQ_COLUMNAR` knob is on.
+//! `ColumnarRows<Value>` mirror beside each relation's tuples and runs
+//! its kernels over it.
 
 use std::fmt;
 use std::sync::Arc;

@@ -20,8 +20,7 @@
 //! * [`ShardedMemo`] — a sharded, lock-striped concurrent map with
 //!   first-writer-wins publication and hit/miss counters: the substrate
 //!   of the shared memo service that lets every `findRules` scheduler
-//!   worker read and publish into **one** global memo instead of warming
-//!   a private slice per worker.
+//!   worker read and publish into **one** global memo.
 //! * [`FxHasher`] / [`FxBuildHasher`] — the FxHash-style hasher the
 //!   join kernels already used, now owned by the storage layer so row
 //!   stores, index caches and memos hash with one deterministic

@@ -2,7 +2,7 @@
 //!
 //! A [`ShardedMemo`] is the substrate of the engine's **shared memo
 //! service**: one global cache that every scheduler worker reads and
-//! publishes into, instead of each worker warming a private memo slice.
+//! publishes into.
 //! Keys are spread over `2^k` shards by their `FxHasher` hash, each shard
 //! its own `RwLock<HashMap>`, so concurrent probes of distinct keys
 //! almost never contend and hits take one uncontended read lock.
