@@ -83,9 +83,6 @@ pub fn find_rules(
 /// [`find_rules`]/[`find_rules_seq`]: every memo value is a
 /// deterministic function of its key and the snapshot the generations
 /// describe (see the memo-sharing contract in `ARCHITECTURE.md`).
-///
-/// In baseline mode the supplied service sees no traffic (the baseline
-/// engine bypasses every memo by design).
 pub fn find_rules_shared(
     db: &Database,
     mq: &Metaquery,
@@ -100,33 +97,23 @@ pub fn find_rules_shared(
     Ok(out)
 }
 
-/// [`find_rules_shared`] under a **wall-clock budget** — the serving
-/// layer's deadline entry point. The search checks the deadline
-/// cooperatively (in the engine's enumeration loop and in the
-/// scheduler's task loop) and, once it expires, unwinds and returns
-/// [`InstError::DeadlineExceeded`] instead of a partial answer set —
-/// partial answers are never surfaced, so every `Ok` is still
-/// byte-identical to [`find_rules_seq`]. `memos: None` gives the search
-/// a fresh memo service; `max_wall_ms: None` runs unbounded
-/// (exactly [`find_rules_shared`] / [`find_rules`]).
-pub fn find_rules_budgeted(
-    db: &Database,
-    mq: &Metaquery,
-    ty: InstType,
-    thresholds: Thresholds,
-    memos: Option<Arc<super::memo::SharedMemos>>,
-    max_wall_ms: Option<u64>,
-) -> Result<Vec<MqAnswer>, InstError> {
-    find_rules_instrumented(db, mq, ty, thresholds, memos, max_wall_ms, None, 0)
-}
-
-/// [`find_rules_budgeted`] with observability attached — the fully
-/// instrumented serving/bench entry point. `profile` (when given)
-/// receives the search's scheduler-task and node-eval totals, plus
-/// per-plan-node wall time / rows / memo hits when it was built
-/// [`mq_obs::SearchProfile::detailed`]. `req_id` (0 = unattributed)
-/// scopes every worker's trace spans to the serving request, so
-/// `trace <req-id>` shows scheduler tasks next to the session spans.
+/// [`find_rules_shared`] under a **wall-clock budget**, with
+/// observability attached — the serving/bench entry point.
+///
+/// The search checks the deadline cooperatively (in the engine's
+/// enumeration loop and in the scheduler's task loop) and, once it
+/// expires, unwinds and returns [`InstError::DeadlineExceeded`] instead
+/// of a partial answer set — partial answers are never surfaced, so
+/// every `Ok` is still byte-identical to [`find_rules_seq`].
+/// `memos: None` gives the search a fresh memo service; `max_wall_ms:
+/// None` runs unbounded.
+///
+/// `profile` (when given) receives the search's scheduler-task and
+/// node-eval totals, plus per-plan-node wall time / rows / memo hits
+/// when it was built [`mq_obs::SearchProfile::detailed`]. `req_id`
+/// (0 = unattributed) scopes every worker's trace spans to the serving
+/// request, so `trace <req-id>` shows scheduler tasks next to the
+/// session spans.
 /// Neither affects answers: `Ok` results stay byte-identical to
 /// [`find_rules_seq`].
 #[allow(clippy::too_many_arguments)]
@@ -223,23 +210,8 @@ pub fn find_rules_with(
     thresholds: Thresholds,
     f: impl FnMut(&MqAnswer) -> ControlFlow<()>,
 ) -> Result<bool, InstError> {
-    find_rules_with_memos(db, mq, ty, thresholds, None, f)
-}
-
-/// [`find_rules_with`] with an optionally supplied memo service (`None`
-/// gives the search a fresh one) — the streaming
-/// sibling of [`find_rules_shared`], used by serving-layer callers that
-/// want early termination under a persistent atom cache.
-pub fn find_rules_with_memos(
-    db: &Database,
-    mq: &Metaquery,
-    ty: InstType,
-    thresholds: Thresholds,
-    memos: Option<Arc<super::memo::SharedMemos>>,
-    f: impl FnMut(&MqAnswer) -> ControlFlow<()>,
-) -> Result<bool, InstError> {
     validate(db, mq, ty)?;
-    let setup = Setup::with_memo_service(db, mq, ty, thresholds, memos);
+    let setup = Setup::new(db, mq, ty, thresholds);
     let mut engine = Engine::new(&setup, f);
     let stopped = engine.find_bodies(0).is_break();
     Ok(stopped)
@@ -283,7 +255,7 @@ pub fn body_decomposition(mq: &Metaquery) -> BodyDecomposition {
 /// `expired`, after which every poll is a cheap atomic load and the
 /// whole search unwinds without further clock reads. Latching matters
 /// for determinism of the *error*: once any worker observes expiry the
-/// search is doomed, so [`find_rules_budgeted`] reports
+/// search is doomed, so [`find_rules_instrumented`] reports
 /// [`InstError::DeadlineExceeded`] rather than whatever partial answers
 /// happened to be merged.
 pub(crate) struct SearchDeadline {
@@ -364,12 +336,11 @@ pub(crate) struct Setup<'a> {
     /// The cross-worker shared memo service (atoms, plans, node
     /// results), created once per search — or supplied by the serving
     /// layer, possibly seeded with a persistent cross-search atom cache
-    /// — and handed to every worker's executor. Baseline mode keeps one
-    /// too; its executor bypasses every memo.
+    /// — and handed to every worker's executor.
     pub(crate) shared_memos: Arc<super::memo::SharedMemos>,
     /// Optional wall-clock budget, polled cooperatively by every engine
     /// and by the scheduler's task loop. `None` (every entry point but
-    /// [`find_rules_budgeted`]) is a single branch on the hot path.
+    /// [`find_rules_instrumented`]) is a single branch on the hot path.
     pub(crate) deadline: Option<SearchDeadline>,
     /// Optional per-search profile sink (`mq-obs`): scheduler tasks and
     /// executor node evals always, per-plan-node detail when the profile
@@ -863,10 +834,8 @@ impl<'a, 'b, F: FnMut(&MqAnswer) -> ControlFlow<()>> Engine<'a, 'b, F> {
                 let s_home = &s[setup.pos_of[setup.ht.atom_home[bi]]];
                 // When s[home] ranges over exactly the atom's variables it
                 // is itself the reduced atom (every s-row is an ra-row and
-                // reduction only drops rows), so |ra ⋉ s| = |s|. (Engine
-                // shortcut: disabled in baseline mode so A/B timings
-                // reproduce the pre-optimization engine.)
-                let reduced = if !mq_relation::baseline_mode() && s_home.vars() == ra.vars() {
+                // reduction only drops rows), so |ra ⋉ s| = |s|.
+                let reduced = if s_home.vars() == ra.vars() {
                     s_home.len()
                 } else {
                     self.exec
@@ -894,15 +863,13 @@ impl<'a, 'b, F: FnMut(&MqAnswer) -> ControlFlow<()>> Engine<'a, 'b, F> {
         // already covered satisfies `b ⋉ s[j] = b` and is skipped
         // outright. Type-2 instantiations can pad atoms with fresh
         // variables that appear in no χ — those columns exist only in
-        // the atom relations, so such bodies (and baseline mode, for
-        // A/B parity with the pre-optimization engine) take the
-        // per-atom assembly: reduce each atom relation against its
-        // home, then fold joins (pure filters become semijoins).
-        let calibrated = !mq_relation::baseline_mode()
-            && body_atoms.iter().enumerate().all(|(bi, ra)| {
-                let s_home = &s[setup.pos_of[setup.ht.atom_home[bi]]];
-                ra.vars().iter().all(|v| s_home.position(*v).is_some())
-            });
+        // the atom relations, so such bodies take the per-atom
+        // assembly: reduce each atom relation against its home, then
+        // fold joins (pure filters become semijoins).
+        let calibrated = body_atoms.iter().enumerate().all(|(bi, ra)| {
+            let s_home = &s[setup.pos_of[setup.ht.atom_home[bi]]];
+            ra.vars().iter().all(|v| s_home.position(*v).is_some())
+        });
         let mut b;
         if calibrated {
             b = s[n - 1].clone();
@@ -917,7 +884,6 @@ impl<'a, 'b, F: FnMut(&MqAnswer) -> ControlFlow<()>> Engine<'a, 'b, F> {
             }
         } else {
             // Join reduced atoms in postorder of homes (join-tree locality).
-            let baseline = mq_relation::baseline_mode();
             let mut order: Vec<usize> = (0..setup.mq.body.len()).collect();
             order.sort_by_key(|&bi| setup.pos_of[setup.ht.atom_home[bi]]);
             b = Bindings::unit();
@@ -925,10 +891,8 @@ impl<'a, 'b, F: FnMut(&MqAnswer) -> ControlFlow<()>> Engine<'a, 'b, F> {
                 let s_home = &s[setup.pos_of[setup.ht.atom_home[bi]]];
                 // A vertex relation over exactly the atom's variables is
                 // the reduced atom already.
-                let reduced = if !baseline && s_home.vars() == body_atoms[bi].vars() {
+                let reduced = if s_home.vars() == body_atoms[bi].vars() {
                     s_home.clone()
-                } else if baseline {
-                    body_atoms[bi].semijoin(s_home)
                 } else {
                     // Index the stable atom side (cached across bodies
                     // by the executor's atom memo), probe the small
@@ -937,9 +901,8 @@ impl<'a, 'b, F: FnMut(&MqAnswer) -> ControlFlow<()>> Engine<'a, 'b, F> {
                 };
                 // An atom contributing no new variable is a pure filter:
                 // `b ⋈ reduced = b ⋉ reduced` (set semantics).
-                let filter_only = !baseline
-                    && !b.vars().is_empty()
-                    && reduced.vars().iter().all(|v| b.position(*v).is_some());
+                let filter_only =
+                    !b.vars().is_empty() && reduced.vars().iter().all(|v| b.position(*v).is_some());
                 b = if filter_only {
                     b.semijoin(&reduced)
                 } else {
@@ -959,40 +922,39 @@ impl<'a, 'b, F: FnMut(&MqAnswer) -> ControlFlow<()>> Engine<'a, 'b, F> {
         // support count runs over the (small) vertex relation, never the
         // assembled join; when the variables are *exactly* the vertex's,
         // the count is just `|s[home]|`.
-        let sup_hint: Option<Frac> =
-            if setup.mq.neg_body.is_empty() && !mq_relation::baseline_mode() {
-                let mut sup = Some(Frac::ZERO);
-                for (bi, ra) in body_atoms.iter().enumerate() {
-                    if ra.is_empty() {
-                        continue;
-                    }
-                    let s_home = &s[setup.pos_of[setup.ht.atom_home[bi]]];
-                    let vars = self.mq_body_atom_vars(bi);
-                    if vars.iter().all(|v| s_home.position(*v).is_some()) {
-                        let num = if s_home.vars() == vars.as_slice() {
-                            s_home.len()
-                        } else {
-                            self.exec
-                                .exec_count(&CountPlan::count_distinct(0, vars), &[s_home])
-                        };
-                        let f = Frac::ratio_or_zero(num as u64, ra.len() as u64);
-                        if let Some(cur) = sup {
-                            if f > cur {
-                                sup = Some(f);
-                            }
-                        }
-                    } else {
-                        // Atom variables outside the decomposition (type-2
-                        // padding): fall back to counting over the
-                        // assembled join.
-                        sup = None;
-                        break;
-                    }
+        let sup_hint: Option<Frac> = if setup.mq.neg_body.is_empty() {
+            let mut sup = Some(Frac::ZERO);
+            for (bi, ra) in body_atoms.iter().enumerate() {
+                if ra.is_empty() {
+                    continue;
                 }
-                sup
-            } else {
-                None
-            };
+                let s_home = &s[setup.pos_of[setup.ht.atom_home[bi]]];
+                let vars = self.mq_body_atom_vars(bi);
+                if vars.iter().all(|v| s_home.position(*v).is_some()) {
+                    let num = if s_home.vars() == vars.as_slice() {
+                        s_home.len()
+                    } else {
+                        self.exec
+                            .exec_count(&CountPlan::count_distinct(0, vars), &[s_home])
+                    };
+                    let f = Frac::ratio_or_zero(num as u64, ra.len() as u64);
+                    if let Some(cur) = sup {
+                        if f > cur {
+                            sup = Some(f);
+                        }
+                    }
+                } else {
+                    // Atom variables outside the decomposition (type-2
+                    // padding): fall back to counting over the
+                    // assembled join.
+                    sup = None;
+                    break;
+                }
+            }
+            sup
+        } else {
+            None
+        };
 
         self.enum_neg(0, b, &body_atoms, sup_hint)
     }
@@ -1411,7 +1373,8 @@ mod tests {
         let mq = parse_metaquery("R(X,Z) <- P(X,Y), Q(Y,Z)").unwrap();
         let th = Thresholds::none();
         // An already-expired budget fails fast with the budget echoed.
-        let err = find_rules_budgeted(&db, &mq, InstType::Zero, th, None, Some(0)).unwrap_err();
+        let err = find_rules_instrumented(&db, &mq, InstType::Zero, th, None, Some(0), None, 0)
+            .unwrap_err();
         assert!(
             matches!(err, InstError::DeadlineExceeded { budget_ms: 0 }),
             "want DeadlineExceeded, got {err:?}"
@@ -1419,9 +1382,11 @@ mod tests {
         // A generous budget and no budget both match the sequential
         // reference byte-for-byte.
         let seq = find_rules_seq(&db, &mq, InstType::Zero, th).unwrap();
-        let ok = find_rules_budgeted(&db, &mq, InstType::Zero, th, None, Some(60_000)).unwrap();
+        let ok = find_rules_instrumented(&db, &mq, InstType::Zero, th, None, Some(60_000), None, 0)
+            .unwrap();
         assert_eq!(ok, seq);
-        let unbounded = find_rules_budgeted(&db, &mq, InstType::Zero, th, None, None).unwrap();
+        let unbounded =
+            find_rules_instrumented(&db, &mq, InstType::Zero, th, None, None, None, 0).unwrap();
         assert_eq!(unbounded, seq);
     }
 

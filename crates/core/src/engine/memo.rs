@@ -42,7 +42,7 @@
 //! 1-thread pools) included: a sharded hit costs one uncontended read
 //! lock + `Arc` clone, and in exchange every search reports hit-rate
 //! telemetry and exercises the exact storage layer that concurrent
-//! sessions share. The baseline executor bypasses it entirely.
+//! sessions share.
 //!
 //! ## Counters
 //!

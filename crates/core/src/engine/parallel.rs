@@ -20,10 +20,10 @@
 //! sort as `find_rules_seq`, so output is byte-identical for every
 //! `MQ_THREADS` × `MQ_SPLIT_DEPTH` combination.
 //!
-//! Knobs: `MQ_PARALLEL=0` disables the scheduler; `MQ_THREADS` caps the
-//! worker count (via the rayon shim); `MQ_SPLIT_DEPTH` (default 2) sets
-//! how many leading patterns the split enumerates — deeper splits give
-//! more, finer tasks for many-core machines.
+//! Knobs: `MQ_THREADS` caps the worker count (via the rayon shim;
+//! `MQ_THREADS=1` runs every search sequentially); `MQ_SPLIT_DEPTH`
+//! (default 2) sets how many leading patterns the split enumerates —
+//! deeper splits give more, finer tasks for many-core machines.
 
 use super::find_rules::{collect_sequential, Engine, Setup};
 use super::MqAnswer;
@@ -61,25 +61,13 @@ pub fn split_depth() -> usize {
         .unwrap_or(DEFAULT_SPLIT_DEPTH)
 }
 
-/// Whether the parallel driver is enabled (`MQ_PARALLEL=0` disables it;
-/// baseline mode always runs sequentially so A/B timings compare the
-/// pre-optimization engine faithfully).
-fn parallel_enabled() -> bool {
-    if mq_relation::baseline_mode() {
-        return false;
-    }
-    match std::env::var_os("MQ_PARALLEL") {
-        Some(v) => !matches!(v.to_str(), Some("0") | Some("false") | Some("off")),
-        None => true,
-    }
-}
-
-/// Run the search for `setup`, on the work-stealing scheduler when it is
-/// enabled and the split yields at least two tasks, else sequentially.
+/// Run the search for `setup`, on the work-stealing scheduler when the
+/// pool has more than one thread and the split yields at least two
+/// tasks, else sequentially.
 /// Answers come back in enumeration order (pre-sort).
 pub(crate) fn run(setup: &Setup) -> Vec<MqAnswer> {
     let threads = rayon::current_num_threads();
-    if threads <= 1 || !parallel_enabled() {
+    if threads <= 1 {
         // The sequential fallback runs on the calling thread, which is
         // already inside the request's trace scope; count it as one task.
         if let Some(p) = &setup.profile {

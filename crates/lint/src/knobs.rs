@@ -3,8 +3,9 @@
 //! Every environment variable the workspace reads must be declared here
 //! (name, default, purpose) — the `knob-registry` rule fails on any
 //! `"MQ_…"` literal in non-test code that has no entry, on any entry no
-//! code reads (dead registry rot), and on a PERFORMANCE.md knob table
-//! that drifted from [`render_table`]'s output.
+//! code reads (dead registry rot), on a PERFORMANCE.md knob table
+//! that drifted from [`render_table`]'s output, and on an `MQ_*` name
+//! in ARCHITECTURE.md or PERFORMANCE.md that has no entry.
 
 /// One declared environment knob.
 pub struct Knob {
@@ -76,7 +77,7 @@ pub const KNOBS: &[Knob] = &[
     Knob {
         name: "MQ_BENCH_SAMPLES",
         default: "5",
-        purpose: "Timed samples per (workload, core) in `bench_report`",
+        purpose: "Timed samples per workload in `bench_report`",
     },
     Knob {
         name: "MQ_BENCH_THREADS",
@@ -102,11 +103,6 @@ pub const KNOBS: &[Knob] = &[
         name: "MQ_HEALTH_P99_MS",
         default: "1000",
         purpose: "Health rule `p99-burn`: request-latency objective for the two-window burn math",
-    },
-    Knob {
-        name: "MQ_PARALLEL",
-        default: "1 (on)",
-        purpose: "Work-stealing `findRules` scheduler (`0`/`false`/`off` disables)",
     },
     Knob {
         name: "MQ_SCRAPE_MS",

@@ -20,7 +20,8 @@ pub const POISON_SAFE_LOCKS: &str = "poison-safe-locks";
 /// in the Send+Sync layers (store, service, engine).
 pub const NO_RC_REFCELL: &str = "no-rc-refcell-in-sendsync";
 /// `knob-registry`: every `MQ_*` literal must be declared in the knob
-/// registry, no dead entries, docs table in sync.
+/// registry, no dead entries, docs table in sync, and every `MQ_*` name
+/// in ARCHITECTURE.md / PERFORMANCE.md declared.
 pub const KNOB_REGISTRY: &str = "knob-registry";
 /// `metric-registry`: every `mq_*` metric literal must be declared in
 /// the metric registry, no dead entries, docs table in sync.
@@ -412,6 +413,33 @@ fn check_knob_registry(ws: &Workspace, lexed: &[(usize, Lexed)], out: &mut Vec<D
                           markers"
                     .to_string(),
             }),
+        }
+    }
+    // Docs name only registered knobs: a deleted knob's name left in a
+    // contract document tells readers to set something nothing reads.
+    for (doc_path, doc) in [
+        ("ARCHITECTURE.md", &ws.architecture_md),
+        ("PERFORMANCE.md", &ws.performance_md),
+    ] {
+        let Some(doc) = doc else { continue };
+        for (n, line) in doc.lines().enumerate() {
+            // Identifier-sized words, so `MQ_X=0` and `` `MQ_X` `` both
+            // yield `MQ_X`.
+            let words = line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'));
+            for name in words.filter(|w| is_knob_name(w)) {
+                if knobs::lookup(name).is_none() {
+                    out.push(Diagnostic {
+                        path: doc_path.to_string(),
+                        line: n + 1,
+                        rule: KNOB_REGISTRY,
+                        message: format!(
+                            "`{name}` is named in {doc_path} but is not in the knob \
+                             registry — drop the stale name or declare it in \
+                             crates/lint/src/knobs.rs"
+                        ),
+                    });
+                }
+            }
         }
     }
 }

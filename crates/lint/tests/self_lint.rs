@@ -71,3 +71,28 @@ fn seeding_a_violation_into_the_real_tree_is_caught() {
         "seeded violation not caught: {diags:?}"
     );
 }
+
+#[test]
+fn seeding_an_unregistered_knob_into_the_docs_is_caught() {
+    let mut ws = load_workspace(&repo_root()).expect("workspace readable");
+    for doc in [&mut ws.architecture_md, &mut ws.performance_md] {
+        doc.as_mut()
+            .expect("doc loaded")
+            .push_str("\nSet `MQ_NOT_A_KNOB=0` to turn it off.\n");
+    }
+    let arch_line = ws.architecture_md.as_deref().unwrap().lines().count();
+    let perf_line = ws.performance_md.as_deref().unwrap().lines().count();
+    let diags = lint(&ws);
+    for (path, line) in [
+        ("ARCHITECTURE.md", arch_line),
+        ("PERFORMANCE.md", perf_line),
+    ] {
+        assert!(
+            diags.iter().any(|d| d.rule == "knob-registry"
+                && d.path == path
+                && d.line == line
+                && d.message.contains("`MQ_NOT_A_KNOB`")),
+            "stale knob name in {path} not caught: {diags:?}"
+        );
+    }
+}

@@ -40,19 +40,6 @@ fn v(i: u32) -> VarId {
     VarId(i)
 }
 
-/// Serializes the tests that toggle `set_baseline_mode` with the tests
-/// that must run the optimized core: the mode is a process-global
-/// atomic and libtest runs tests on concurrent threads, so without
-/// exclusion one test's baseline leg could route another test's search
-/// through the baseline kernels — answers would still match, but the
-/// optimized path would silently go untested. (The thread/split-depth
-/// overrides don't need this: every setting must give identical
-/// answers, so cross-talk can't weaken what those tests assert.)
-fn engine_mode_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 /// Sorted row multiset projected onto `vars` — the order-insensitive,
 /// column-order-insensitive comparison key for join results.
 fn canon(b: &Bindings, vars: &[VarId]) -> Vec<Box<[mq_relation::Value]>> {
@@ -62,7 +49,8 @@ fn canon(b: &Bindings, vars: &[VarId]) -> Vec<Box<[mq_relation::Value]>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Optimized join ≡ baseline join (as row sets over the same vars).
+    /// Optimized join and pre-planned `join_on` (single- and two-column
+    /// keys) ≡ baseline join (as row sets over the same vars).
     #[test]
     fn join_matches_baseline(
         p in relation_strategy(),
@@ -76,13 +64,22 @@ proptest! {
         let all = [v(0), v(1), v(2)];
         prop_assert_eq!(fast.len(), slow.len());
         prop_assert_eq!(canon(&fast, &all), canon(&slow, &all));
+        prop_assert_eq!(canon(&a.join_on(&b, &[v(1)]), &all), canon(&slow, &all));
+        let b2 = Bindings::from_atom(db.rel("q"), &[Term::Var(v(1)), Term::Var(v(0))]);
+        let slow2 = baseline::join(&a, &b2);
+        let both = [v(0), v(1)];
+        prop_assert_eq!(canon(&a.join_on(&b2, &[v(0), v(1)]), &both), canon(&slow2, &both));
     }
 
-    /// Optimized join_atom ≡ baseline from_atom + join.
+    /// Optimized join_atom ≡ baseline from_atom + join, and a
+    /// constant-selective `from_atom` over ≥ 16 rows (the cached-index
+    /// probe path) ≡ baseline from_atom.
     #[test]
     fn join_atom_matches_baseline(
         p in relation_strategy(),
         q in relation_strategy(),
+        keys in prop::collection::vec(0i64..4, 16..40),
+        k in 0i64..5,
     ) {
         let db = build_db(&p, &q, &[]);
         let a = Bindings::from_atom(db.rel("p"), &[Term::Var(v(0)), Term::Var(v(1))]);
@@ -92,17 +89,29 @@ proptest! {
         let all = [v(0), v(1)];
         prop_assert_eq!(fast.len(), slow.len());
         prop_assert_eq!(canon(&fast, &all), canon(&slow, &all));
+        // Distinct second columns keep every generated row.
+        let rows = keys.iter().enumerate().map(|(i, &key)| ints(&[key, i as i64])).collect();
+        let wide = mq_relation::Relation::from_rows("w", 2, rows);
+        let terms = [Term::Const(mq_relation::Value::Int(k)), Term::Var(v(0))];
+        let fast = Bindings::from_atom(&wide, &terms).sorted();
+        let slow = baseline::from_atom(&wide, &terms).sorted();
+        prop_assert_eq!(fast.rows(), slow.rows());
     }
 
-    /// Optimized semijoin/antijoin/count ≡ baseline.
+    /// Optimized semijoin/antijoin/count and the pre-planned
+    /// `semijoin_on`, self-indexed `semijoin_indexed` and one-pass
+    /// `semijoin_all` ≡ baseline semijoin (folded left to right for
+    /// `semijoin_all`), on single- and two-column keys.
     #[test]
     fn semijoin_matches_baseline(
         p in relation_strategy(),
         q in relation_strategy(),
+        h in relation_strategy(),
     ) {
-        let db = build_db(&p, &q, &[]);
+        let db = build_db(&p, &q, &h);
         let a = Bindings::from_atom(db.rel("p"), &[Term::Var(v(0)), Term::Var(v(1))]);
         let b = Bindings::from_atom(db.rel("q"), &[Term::Var(v(1)), Term::Var(v(2))]);
+        let c = Bindings::from_atom(db.rel("h"), &[Term::Var(v(1)), Term::Var(v(0))]);
         let semi = a.semijoin(&b);
         prop_assert_eq!(a.semijoin_count(&b), semi.len());
         let semi = semi.sorted();
@@ -111,6 +120,14 @@ proptest! {
         let anti = a.antijoin(&b).sorted();
         let anti_base = baseline::antijoin(&a, &b).sorted();
         prop_assert_eq!(anti.rows(), anti_base.rows());
+        let cols = [v(0), v(1)];
+        for (other, keys) in [(&b, vec![v(1)]), (&c, vec![v(0), v(1)])] {
+            let want = canon(&baseline::semijoin(&a, other), &cols);
+            prop_assert_eq!(canon(&a.semijoin_on(other, &keys), &cols), want.clone());
+            prop_assert_eq!(canon(&a.semijoin_indexed(other), &cols), want);
+        }
+        let folded = baseline::semijoin(&baseline::semijoin(&a, &b), &c);
+        prop_assert_eq!(canon(&a.semijoin_all(&[&b, &c]), &cols), canon(&folded, &cols));
     }
 
     /// Optimized project/count_distinct ≡ baseline.
@@ -228,7 +245,6 @@ proptest! {
         cyclic in proptest::bool::ANY,
         ksup in 0u64..3,
     ) {
-        let _guard = engine_mode_lock();
         let db = build_db(&p, &q, &h);
         let text = if cyclic {
             "R(X0,X1) <- P0(X0,X1), P1(X1,X2), P2(X2,X0)"
@@ -246,13 +262,12 @@ proptest! {
         prop_assert_eq!(&par, &seq);
     }
 
-    /// `find_rules` answers are byte-identical under the columnar core
-    /// and the baseline (boxed-key) core, both matching the naive
-    /// reference — on chain, triangle and type-2 (padded-instantiation)
-    /// shapes, the last exercising the per-atom body assembly whose
-    /// padding variables live outside every decomposition vertex.
+    /// `find_rules` answers are byte-identical to the naive reference on
+    /// chain, triangle and type-2 (padded-instantiation) shapes, the last
+    /// exercising the per-atom body assembly whose padding variables live
+    /// outside every decomposition vertex.
     #[test]
-    fn columnar_and_baseline_agree_with_naive(
+    fn find_rules_agrees_with_naive(
         p in relation_strategy(),
         q in relation_strategy(),
         h in relation_strategy(),
@@ -260,8 +275,6 @@ proptest! {
         padded in proptest::bool::ANY,
         ksup in 0u64..3,
     ) {
-        use mq_relation::set_baseline_mode;
-        let _guard = engine_mode_lock();
         let db = build_db(&p, &q, &h);
         let text = match shape {
             0 => "R(X,Z) <- P(X,Y), Q(Y,Z)",
@@ -272,12 +285,8 @@ proptest! {
         let mq = parse_metaquery(text).unwrap();
         let th = Thresholds::all(Frac::new(ksup, 4), Frac::ZERO, Frac::ZERO);
         let reference = naive_find_all(&db, &mq, ty, th).unwrap();
-        for (core, baseline) in [("columnar", false), ("baseline", true)] {
-            set_baseline_mode(baseline);
-            let got = find_rules(&db, &mq, ty, th).unwrap();
-            set_baseline_mode(false);
-            prop_assert_eq!(&got, &reference, "{} core diverged on {}", core, text);
-        }
+        let got = find_rules(&db, &mq, ty, th).unwrap();
+        prop_assert_eq!(&got, &reference, "find_rules diverged on {}", text);
     }
 
     /// The Plan IR → Executor pipeline must not change answers: planned
@@ -321,7 +330,6 @@ fn find_rules_deterministic_across_threads_and_split_depths() {
     use metaquery::core::engine::parallel::set_split_depth_override;
     use mq_relation::ints;
 
-    let _guard = engine_mode_lock();
     let mut db = Database::new();
     let rels = [("p", 2), ("q", 2), ("r", 2)];
     let mut x = 0i64;
