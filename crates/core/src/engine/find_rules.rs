@@ -27,7 +27,7 @@
 //!
 //! * **Planner** ([`crate::plan`]) — a pure function from a vertex's χ
 //!   and λ-atom statistics to a hash-consed [`crate::plan::PlanOp`] DAG;
-//! * **Executor** ([`super::exec`]) — interprets plan nodes against
+//! * **Executor** (`engine::exec`) — interprets plan nodes against
 //!   [`Bindings`], memoizing per plan-node id (atom cache, plan cache,
 //!   result memo); the count-only cvr/cnf/sup paths run through it too;
 //! * **Scheduler** ([`super::parallel`]) — splits the search over
@@ -35,9 +35,9 @@
 //!   deque with work-stealing workers, merging results in enumeration
 //!   order so answers are byte-identical to [`find_rules_seq`].
 //!
-//! This module is the remaining orchestration: the immutable [`Setup`]
+//! This module is the remaining orchestration: the immutable `Setup`
 //! (decomposition, candidates, thresholds, enumeration order) and the
-//! per-search [`Engine`] (assignment stacks, node relations, executor)
+//! per-search `Engine` (assignment stacks, node relations, executor)
 //! driving the three phases.
 
 use crate::ast::{Metaquery, Pred, PredVarId};
@@ -77,7 +77,8 @@ pub fn find_rules(
 /// [`find_rules`] with an **externally supplied memo service** — the
 /// serving layer's entry point. The search reads and publishes into
 /// `memos` instead of creating a fresh service, so a catalog can seed
-/// the atom layer from its persistent cross-search [`AtomCache`]
+/// the atom layer from its persistent cross-search
+/// [`AtomCache`](crate::engine::memo::AtomCache)
 /// (`SharedMemos::with_persistent_atoms`) and read per-search hit rates
 /// off the instance afterwards. Answers are byte-identical to
 /// [`find_rules`]/[`find_rules_seq`]: every memo value is a

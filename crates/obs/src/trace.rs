@@ -20,7 +20,7 @@
 //!
 //! ## Gates
 //!
-//! `MQ_TRACE=1` turns the hot-path spans ([`span!`] sites: scheduler
+//! `MQ_TRACE=1` turns the hot-path spans ([`span!`](crate::span!) sites: scheduler
 //! tasks, detailed node profiling) on; default off. Request-granularity
 //! spans ([`SpanGuard::start_always`]) record regardless — a handful per
 //! request, nanoseconds each. `MQ_SLOW_MS=<ms>` arms the serving layer's
@@ -70,7 +70,7 @@ pub const SEARCH_RUN: SpanName = SpanName(5);
 pub const SCHED_TASK: SpanName = SpanName(6);
 /// One copy-on-write catalog update.
 pub const CATALOG_UPDATE: SpanName = SpanName(7);
-/// Freezing a database snapshot (index pre-warm + arena freeze).
+/// Freezing a database snapshot (index pre-warm).
 pub const CATALOG_FREEZE: SpanName = SpanName(8);
 
 // ── Gates ───────────────────────────────────────────────────────────
@@ -85,7 +85,7 @@ static TRACE_ENV: AtomicU8 = AtomicU8::new(GATE_UNSET);
 static TRACE_OVERRIDE: AtomicU8 = AtomicU8::new(GATE_UNSET);
 
 /// Whether hot-path tracing is on. Disabled, this is the whole cost of
-/// a [`span!`] site: two relaxed loads and a branch.
+/// a [`span!`](crate::span!) site: two relaxed loads and a branch.
 pub fn trace_enabled() -> bool {
     match TRACE_OVERRIDE.load(Ordering::Relaxed) {
         GATE_OFF => return false,

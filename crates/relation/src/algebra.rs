@@ -26,10 +26,10 @@
 use crate::hashjoin::{self, BitSet, GroupIndex, RawTable};
 use crate::relation::Relation;
 use crate::value::{Tuple, Value};
-use mq_store::{ColIndexCache, ColumnarRows, FrozenRows};
+use mq_store::{ColIndexCache, ColumnarRows, RowView};
 use std::collections::HashSet;
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// An ordinary (first-order) variable, interned by the caller.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -134,6 +134,20 @@ impl AtomShape {
         }
     }
 
+    /// Whether row `i` of `store` satisfies the constant filters and the
+    /// repeated-variable equalities.
+    #[inline]
+    fn matches_at(&self, store: &ColumnarRows<Value>, i: usize) -> bool {
+        self.const_cols
+            .iter()
+            .zip(self.const_vals.iter())
+            .all(|(&c, v)| store.col(c)[i] == *v)
+            && self
+                .eq_pairs
+                .iter()
+                .all(|&(a, b)| store.col(a)[i] == store.col(b)[i])
+    }
+
     /// Whether `row` satisfies the repeated-variable equalities.
     #[inline]
     fn eq_ok(&self, row: &[Value]) -> bool {
@@ -171,37 +185,36 @@ impl AtomShape {
 /// against the same body join, every reducer step against the same
 /// guard) builds its table once — process-wide.
 ///
-/// The kernels scan the column-major storage ([`ColumnarRows`] — one
-/// contiguous buffer per variable) and produce column-major results. A
-/// row view ([`FrozenRows`] of boxed tuples) is built lazily on first
-/// demand and cached; its readers are [`Bindings::rows`] (the oracles in
-/// [`baseline`] and the tests), the CQ evaluator
-/// ([`Bindings::join_atom`], [`Bindings::semijoin_filter`]) and
-/// certificates. Bindings built from rows ([`Bindings::from_parts`])
-/// materialize their columns the same way, on first kernel use.
+/// The tuples are stored once, column-major ([`ColumnarRows`] — one
+/// contiguous buffer per variable); bindings built from rows
+/// ([`Bindings::from_parts`]) are transposed at construction. The
+/// kernels scan the columns and produce columns. [`Bindings::rows`]
+/// reads the [`RowView`] derived from them, for the oracles in
+/// [`baseline`], certificates and tests.
 #[derive(Clone)]
 pub struct Bindings {
     vars: Vec<VarId>,
-    len: usize,
-    rows: OnceLock<FrozenRows<Tuple>>,
-    cols: OnceLock<ColumnarRows<Value>>,
-    /// Lazily built group indexes per key-column set
-    /// ([`mq_store::ColIndexCache`]: hashed lookup, thread-safe). Shared
-    /// by clones (which share the storage, keeping the indexes valid);
-    /// rebuilt from scratch by any operation producing new rows.
-    indexes: Arc<ColIndexCache<GroupIndex>>,
+    cols: ColumnarRows<Value>,
+    /// State derived from `cols`, built lazily and shared by clones
+    /// (which share the columns, keeping it valid); started afresh by
+    /// any operation producing new rows.
+    derived: Arc<Derived>,
+}
+
+/// What a [`Bindings`] derives from its columns on demand.
+#[derive(Default)]
+struct Derived {
+    /// Group indexes per key-column set ([`mq_store::ColIndexCache`]:
+    /// hashed lookup, thread-safe).
+    indexes: ColIndexCache<GroupIndex>,
+    /// The boxed rows behind [`Bindings::rows`].
+    rows: RowView<Value>,
 }
 
 impl PartialEq for Bindings {
     /// Equality of contents; cached indexes are ignored.
     fn eq(&self, other: &Self) -> bool {
-        self.vars == other.vars
-            && self.len == other.len
-            && if let (Some(a), Some(b)) = (self.cols.get(), other.cols.get()) {
-                a == b
-            } else {
-                self.rows() == other.rows()
-            }
+        self.vars == other.vars && self.cols == other.cols
     }
 }
 
@@ -209,56 +222,29 @@ impl Eq for Bindings {}
 
 impl Bindings {
     fn new(vars: Vec<VarId>, rows: Vec<Tuple>) -> Self {
-        let len = rows.len();
-        Bindings {
-            vars,
-            len,
-            rows: OnceLock::from(FrozenRows::new(rows)),
-            cols: OnceLock::new(),
-            indexes: Arc::new(ColIndexCache::new()),
-        }
+        let cols = ColumnarRows::from_rows(vars.len(), &rows);
+        Bindings::new_columnar(vars, cols)
     }
 
     fn new_columnar(vars: Vec<VarId>, cols: ColumnarRows<Value>) -> Self {
         debug_assert_eq!(cols.arity(), vars.len());
-        let len = cols.len();
         Bindings {
             vars,
-            len,
-            rows: OnceLock::new(),
-            cols: OnceLock::from(cols),
-            indexes: Arc::new(ColIndexCache::new()),
+            cols,
+            derived: Arc::default(),
         }
     }
 
-    /// The row view, materializing it from the columns on first
-    /// demand.
-    fn rows_store(&self) -> &FrozenRows<Tuple> {
-        self.rows.get_or_init(|| {
-            let cols = self.cols.get().expect("Bindings holds rows or columns");
-            FrozenRows::new(cols.to_rows())
-        })
-    }
-
-    /// The column-major storage, materializing it from the rows on first
-    /// demand. O(1) when this bindings was born columnar.
+    /// The column-major storage the kernels scan.
     pub fn columnar(&self) -> &ColumnarRows<Value> {
-        self.cols.get_or_init(|| {
-            let rows = self.rows.get().expect("Bindings holds rows or columns");
-            ColumnarRows::from_rows(self.vars.len(), rows.as_slice())
-        })
+        &self.cols
     }
 
     /// Get (or build once and cache) the group index over `cols`.
-    ///
-    /// Built column-wise (batched key hashing) whenever the columnar
-    /// storage is already materialized — both builds produce identical
-    /// indexes, so callers never observe the difference.
     fn binding_index(&self, cols: &[usize]) -> Arc<GroupIndex> {
-        self.indexes.get_or_build(cols, || match self.cols.get() {
-            Some(store) => GroupIndex::build_columnar(store, cols),
-            None => GroupIndex::build(self.rows_store(), cols),
-        })
+        self.derived
+            .indexes
+            .get_or_build(cols, || GroupIndex::build_columnar(&self.cols, cols))
     }
 
     /// The cached group index over `cols`, if one exists. Never builds —
@@ -266,19 +252,20 @@ impl Bindings {
     /// peek here to avoid indexing an operand that will never be probed
     /// again.
     fn cached_index(&self, cols: &[usize]) -> Option<Arc<GroupIndex>> {
-        self.indexes.get(cols)
+        self.derived.indexes.get(cols)
     }
 
     /// The unit bindings: no variables, one (empty) row.
     ///
     /// This is the identity of natural join: `unit ⋈ B = B`.
     pub fn unit() -> Self {
-        Bindings::new(Vec::new(), vec![Vec::new().into_boxed_slice()])
+        Bindings::new_columnar(Vec::new(), ColumnarRows::from_columns(1, Vec::new()))
     }
 
     /// Empty bindings (no rows) over the given variables.
     pub fn empty(vars: Vec<VarId>) -> Self {
-        Bindings::new(vars, Vec::new())
+        let cols = ColumnarRows::empty(vars.len());
+        Bindings::new_columnar(vars, cols)
     }
 
     /// Build from parts. Rows must be distinct and match `vars.len()`.
@@ -297,16 +284,15 @@ impl Bindings {
         &self.vars
     }
 
-    /// Rows, each aligned with [`Bindings::vars`] (materialized from the
-    /// columnar storage on first demand if this bindings was born
-    /// column-major).
+    /// Rows, each aligned with [`Bindings::vars`]: the row view of the
+    /// columns, built on first demand and cached.
     pub fn rows(&self) -> &[Tuple] {
-        self.rows_store().as_slice()
+        self.derived.rows.get(&self.cols)
     }
 
     /// Number of tuples (`|J(R)|` when this is the join of atom set `R`).
     pub fn len(&self) -> usize {
-        self.len
+        self.cols.len()
     }
 
     /// An opaque identity of this bindings' shared tuple storage: while
@@ -318,19 +304,12 @@ impl Bindings {
     /// operator memos on this (holding clones of the operands so the
     /// addresses can't be recycled).
     pub fn storage_id(&self) -> usize {
-        match self.cols.get() {
-            Some(c) => c.ptr_id(),
-            None => self
-                .rows
-                .get()
-                .expect("Bindings holds rows or columns")
-                .ptr_id(),
-        }
+        self.cols.ptr_id()
     }
 
     /// Whether there are no tuples.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.cols.is_empty()
     }
 
     /// Position of `v` among the columns.
@@ -360,15 +339,16 @@ impl Bindings {
         );
         let shape = AtomShape::of(terms);
         // Column-wise evaluation: select matching row ids against the
-        // relation's columnar mirror, then gather the variable columns.
+        // relation's columns, then gather the variable columns.
         let store = rel.columnar();
         let mut keep: Vec<usize> = Vec::new();
         if !shape.const_cols.is_empty() && rel.len() >= 16 {
             // Constant-selective atom: probe the cached index on the
             // constant columns instead of scanning.
-            let idx = rel.group_index(&shape.const_cols);
-            let identity: Vec<usize> = (0..shape.const_vals.len()).collect();
-            for i in idx.probe_cols(&shape.const_vals, &identity) {
+            for i in rel
+                .group_index(&shape.const_cols)
+                .probe_key(&shape.const_vals)
+            {
                 if shape
                     .eq_pairs
                     .iter()
@@ -378,6 +358,9 @@ impl Bindings {
                 }
             }
         } else {
+            // Spelled out rather than calling `matches_at`: this loop
+            // visits every row of the relation, and through the method
+            // it measured about 1.5x slower.
             for i in 0..store.len() {
                 let consts_ok = shape
                     .const_cols
@@ -663,21 +646,38 @@ impl Bindings {
         let mut out_vars = self.vars.clone();
         out_vars.extend(extra_vars.iter().copied());
 
+        // Probe the relation's index with every row's key, self-major;
+        // keep the (self row, relation row) id pairs that pass the atom's
+        // filters, then gather the output column by column.
         let idx = rel.group_index(&rel_cols);
-        let rel_rows = rel.rows_slice();
-        let mut out_rows = Vec::new();
-        for srow in self.rows().iter() {
-            for ri in idx.probe_cols(srow, &self_pos) {
-                let rrow = &rel_rows[ri];
-                if shape.consts_ok(rrow) && shape.eq_ok(rrow) {
-                    let mut row = Vec::with_capacity(out_vars.len());
-                    row.extend_from_slice(srow);
-                    row.extend(extra_pos.iter().map(|&p| rrow[p]));
-                    out_rows.push(row.into_boxed_slice());
-                }
+        let rc = rel.columnar();
+        let sc = self.columnar();
+        let mut hashes = Vec::new();
+        hashjoin::hash_columns_into(sc, &self_pos, &mut hashes);
+        let key_cols: Vec<&[Value]> = self_pos.iter().map(|&c| sc.col(c)).collect();
+        let mut sids: Vec<usize> = Vec::new();
+        let mut rids: Vec<usize> = Vec::new();
+        for (i, &h) in hashes.iter().enumerate() {
+            let hits = idx.probe(h, |gkey| {
+                gkey.iter()
+                    .zip(key_cols.iter())
+                    .all(|(kv, col)| *kv == col[i])
+            });
+            for ri in hits.filter(|&ri| shape.matches_at(rc, ri)) {
+                sids.push(i);
+                rids.push(ri);
             }
         }
-        Bindings::new(out_vars, out_rows)
+        let mut out_cols: Vec<Vec<Value>> = Vec::with_capacity(out_vars.len());
+        for c in 0..sc.arity() {
+            let col = sc.col(c);
+            out_cols.push(sids.iter().map(|&i| col[i]).collect());
+        }
+        for &p in &extra_pos {
+            let col = rc.col(p);
+            out_cols.push(rids.iter().map(|&i| col[i]).collect());
+        }
+        Bindings::new_columnar(out_vars, ColumnarRows::from_columns(sids.len(), out_cols))
     }
 
     /// Projection `π_vars(self)` with duplicate elimination.
@@ -1030,30 +1030,33 @@ impl Bindings {
             }
             return;
         }
-        let self_rows = self.rows();
-        let other_rows = other.rows();
+        let (sc, oc) = (self.columnar(), other.columnar());
+        let self_keys: Vec<&[Value]> = self_pos.iter().map(|&c| sc.col(c)).collect();
+        let other_keys: Vec<&[Value]> = other_pos.iter().map(|&c| oc.col(c)).collect();
         // Distinct-key membership table over *live* rows of `other`.
         let mut keys = RawTable::with_capacity(other_live.count_ones());
         for i in other_live.iter_ones() {
-            let row = &other_rows[i];
-            let h = hashjoin::hash_cols(row, &other_pos);
+            let h = hashjoin::hash_cols_at(oc, &other_pos, i);
             let seen = keys
                 .find(h, |id| {
-                    hashjoin::eq_cols(&other_rows[id as usize], &other_pos, row, &other_pos)
+                    other_keys.iter().all(|col| col[id as usize] == col[i])
                 })
                 .is_some();
             if !seen {
                 keys.insert_new(h, i as u32);
             }
         }
-        for (i, r) in self_rows.iter().enumerate() {
+        for i in 0..sc.len() {
             if !live.get(i) {
                 continue;
             }
-            let h = hashjoin::hash_cols(r, &self_pos);
+            let h = hashjoin::hash_cols_at(sc, &self_pos, i);
             let hit = keys
                 .find(h, |id| {
-                    hashjoin::eq_cols(&other_rows[id as usize], &other_pos, r, &self_pos)
+                    other_keys
+                        .iter()
+                        .zip(self_keys.iter())
+                        .all(|(o, s)| o[id as usize] == s[i])
                 })
                 .is_some();
             if !hit {
@@ -1090,20 +1093,17 @@ impl Bindings {
     }
 
     /// Sort rows lexicographically (for deterministic display/tests).
-    pub fn sorted(mut self) -> Bindings {
-        let _ = self.rows_store();
-        let mut frozen = self.rows.take().expect("just materialized");
-        frozen.make_mut().sort();
-        let len = frozen.len();
-        // Row order changed: the columnar mirror and cached indexes are
-        // stale; drop both (the mirror rebuilds lazily on demand).
-        Bindings {
-            vars: self.vars,
-            len,
-            rows: OnceLock::from(frozen),
-            cols: OnceLock::new(),
-            indexes: Arc::new(ColIndexCache::new()),
-        }
+    pub fn sorted(self) -> Bindings {
+        let sc = &self.cols;
+        let mut order: Vec<usize> = (0..sc.len()).collect();
+        order.sort_unstable_by(|&a, &b| {
+            (0..sc.arity())
+                .map(|c| sc.col(c)[a].cmp(&sc.col(c)[b]))
+                .find(|o| o.is_ne())
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
+        // New row order: new storage, and so no cached index carries over.
+        Bindings::new_columnar(self.vars, sc.gather(&order))
     }
 }
 
@@ -1330,8 +1330,8 @@ pub mod baseline {
 /// `r := r ⋉ guard` of Definition 4.4, returning the reduced relation.
 ///
 /// Single pass, like `FullReducer::run`: each relation row is checked
-/// positionally against the atom shape and probed against the guard's
-/// cached key index straight out of row storage — no intermediate
+/// against the atom shape over the relation's columns and probed against
+/// the guard's cached key index straight out of them — no intermediate
 /// `Bindings`, no per-row key materialization, no re-scan.
 pub fn reduce_relation(rel: &Relation, terms: &[Term], guard: &Bindings) -> Relation {
     let shape = AtomShape::of(terms);
@@ -1346,23 +1346,30 @@ pub fn reduce_relation(rel: &Relation, terms: &[Term], guard: &Bindings) -> Rela
         }
     }
     let mut out = Relation::new(rel.name(), rel.arity());
-    if guard_cols.is_empty() {
-        // No shared variables: semijoin semantics keep every matching row
-        // iff the guard is non-empty.
-        if guard.is_empty() {
-            return out;
-        }
-        for row in rel.rows() {
-            if shape.consts_ok(row) && shape.eq_ok(row) {
-                out.insert(row.clone());
-            }
-        }
+    // No shared variables: semijoin semantics keep every matching row
+    // iff the guard is non-empty.
+    if guard_cols.is_empty() && guard.is_empty() {
         return out;
     }
-    let idx = guard.binding_index(&guard_cols);
-    for row in rel.rows() {
-        if shape.consts_ok(row) && shape.eq_ok(row) && idx.probe_group(row, &rel_cols).is_some() {
-            out.insert(row.clone());
+    let store = rel.columnar();
+    let idx = (!guard_cols.is_empty()).then(|| guard.binding_index(&guard_cols));
+    let key_cols: Vec<&[Value]> = rel_cols.iter().map(|&c| store.col(c)).collect();
+    let mut row = Vec::with_capacity(rel.arity());
+    for i in 0..store.len() {
+        let kept = shape.matches_at(store, i)
+            && idx.as_ref().is_none_or(|idx| {
+                let h = hashjoin::hash_cols_at(store, &rel_cols, i);
+                idx.find_group(h, |gkey| {
+                    gkey.iter()
+                        .zip(key_cols.iter())
+                        .all(|(kv, col)| *kv == col[i])
+                })
+                .is_some()
+            });
+        if kept {
+            row.clear();
+            row.extend((0..store.arity()).map(|c| store.col(c)[i]));
+            out.insert_values(&row);
         }
     }
     out

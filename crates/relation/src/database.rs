@@ -26,10 +26,11 @@ impl RelId {
 /// that values can be rendered back to text.
 ///
 /// Relations are held behind `Arc`s, so a clone shares every relation —
-/// including its warmed group indexes and columnar mirror — and copies
-/// only pointers. Mutation goes through `Arc::make_mut`: a write
-/// deep-clones just the relation it touches, so value semantics are
-/// unchanged (mutating a clone never affects the original).
+/// including its warmed group indexes — and copies only pointers.
+/// Mutation goes through `Arc::make_mut`: a write clones just the
+/// relation it touches (its tuple set, and its column buffers on the
+/// first appended row), so value semantics are unchanged (mutating a
+/// clone never affects the original).
 #[derive(Clone, Default)]
 pub struct Database {
     symbols: SymbolTable,
@@ -156,8 +157,8 @@ impl Database {
     pub fn active_domain(&self) -> BTreeSet<Value> {
         let mut dom = BTreeSet::new();
         for rel in self.relations() {
-            for row in rel.rows() {
-                dom.extend(row.iter().copied());
+            for c in 0..rel.arity() {
+                dom.extend(rel.columnar().col(c).iter().copied());
             }
         }
         dom

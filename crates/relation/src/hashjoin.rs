@@ -3,17 +3,19 @@
 //! The naive port of the algebra materialized a fresh `Box<[Value]>` hash
 //! key for **every row of every operation** — the dominant allocation in
 //! the `findRules` hot path. This module replaces those keys with
-//! *hash-of-column-slice probing*: keys are hashed directly out of the row
-//! storage ([`hash_cols`]) and compared positionally, so building or
-//! probing a table allocates nothing per row.
+//! *hash-of-column-slice probing*: keys are hashed directly out of the
+//! column storage ([`hash_columns_into`], [`hash_cols_at`]) and compared
+//! positionally, so building or probing a table allocates nothing per
+//! row.
 //!
-//! Three building blocks:
+//! The building blocks:
 //!
 //! * [`FxHasher`] — an FxHash-style multiply-xor [`std::hash::Hasher`],
 //!   much faster than SipHash for the tiny fixed-width keys joins use;
 //! * [`RawTable`] — an open-addressing table of `(hash, id)` entries with
 //!   caller-supplied equality, the substrate for join maps, semijoin
-//!   membership sets, and projection dedup sets;
+//!   membership sets, projection dedup sets and each relation's tuple
+//!   set;
 //! * [`GroupIndex`] — row-ids grouped by the key at a column subset,
 //!   i.e. a hash join build side (also cached per relation, see
 //!   [`crate::relation::Relation::group_index`]);
@@ -21,7 +23,7 @@
 //!   filtering (used by full reducers to avoid materializing a new
 //!   relation per semijoin step).
 
-use crate::value::{Tuple, Value};
+use crate::value::Value;
 use std::hash::{Hash, Hasher};
 
 // The hasher now lives in the storage layer (`mq-store`) so row stores,
@@ -29,7 +31,7 @@ use std::hash::{Hash, Hasher};
 // re-exported here so kernel code and downstream users are unaffected.
 pub use mq_store::{ColumnarRows, FxBuildHasher, FxHasher};
 
-/// Hash one value with the same function as [`hash_cols`] over `[v]`.
+/// Hash one value with the same function as [`hash_vals`] over `[v]`.
 #[inline]
 pub fn hash_value(v: &Value) -> u64 {
     let mut h = FxHasher::default();
@@ -37,23 +39,10 @@ pub fn hash_value(v: &Value) -> u64 {
     h.finish()
 }
 
-/// Hash the values of `row` at `cols`, in order, without materializing the
-/// projection. Two calls agree iff the projected value sequences agree
-/// (regardless of which row/column layout they come from).
-#[inline]
-pub fn hash_cols(row: &[Value], cols: &[usize]) -> u64 {
-    // Single-column keys dominate join graphs; skip the loop machinery.
-    if let [c] = cols {
-        return hash_value(&row[*c]);
-    }
-    let mut h = FxHasher::default();
-    for &c in cols {
-        row[c].hash(&mut h);
-    }
-    h.finish()
-}
-
-/// Hash an explicit value slice with the same function as [`hash_cols`].
+/// Hash a key given as an explicit value slice. [`hash_value`],
+/// [`hash_cols_at`] and [`hash_columns_into`] agree with it on the
+/// projected values, so a key hashes the same whichever layout it is
+/// read from.
 #[inline]
 pub fn hash_vals(vals: &[Value]) -> u64 {
     let mut h = FxHasher::default();
@@ -65,7 +54,7 @@ pub fn hash_vals(vals: &[Value]) -> u64 {
 
 /// Batch key hashing over column-major storage: fill `out` with the key
 /// hash of every row of `store` at `cols`, agreeing exactly with
-/// [`hash_cols`] on the equivalent row-major tuples.
+/// [`hash_vals`] on each row's projection onto `cols`.
 ///
 /// Single-column keys hash one dense column slice end to end; wider keys
 /// keep one saved hasher state per row and fold each key column across
@@ -92,8 +81,8 @@ pub fn hash_columns_into(store: &ColumnarRows<Value>, cols: &[usize], out: &mut 
 }
 
 /// Key hash of row `i` of column-major `store` at `cols`, agreeing
-/// exactly with [`hash_cols`] on the equivalent row-major tuple — the
-/// per-row companion of [`hash_columns_into`] for probe loops that
+/// exactly with [`hash_vals`] on the row's projection — the per-row
+/// companion of [`hash_columns_into`] for probe loops that
 /// short-circuit before visiting every row.
 #[inline]
 pub fn hash_cols_at(store: &ColumnarRows<Value>, cols: &[usize], i: usize) -> u64 {
@@ -107,24 +96,13 @@ pub fn hash_cols_at(store: &ColumnarRows<Value>, cols: &[usize], i: usize) -> u6
     h.finish()
 }
 
-/// Positional equality of two projections: `a[acols] == b[bcols]`.
-#[inline]
-pub fn eq_cols(a: &[Value], acols: &[usize], b: &[Value], bcols: &[usize]) -> bool {
-    debug_assert_eq!(acols.len(), bcols.len());
-    if let ([ca], [cb]) = (acols, bcols) {
-        return a[*ca] == b[*cb];
-    }
-    acols
-        .iter()
-        .zip(bcols.iter())
-        .all(|(&ca, &cb)| a[ca] == b[cb])
-}
-
 const EMPTY: u32 = u32::MAX;
 
 /// Open-addressing `(hash, id)` table with linear probing and external
-/// equality. Capacity is fixed at construction (size every table for the
-/// maximum number of inserts; join/semijoin/projection all know it).
+/// equality. Size a table for its maximum number of inserts when that is
+/// known (join/semijoin/projection all know it); otherwise
+/// [`RawTable::insert_growing`] grows it by rehashing its stored hashes.
+#[derive(Clone)]
 pub struct RawTable {
     mask: usize,
     hashes: Vec<u64>,
@@ -175,13 +153,45 @@ impl RawTable {
     #[inline]
     pub fn insert_new(&mut self, hash: u64, id: u32) {
         debug_assert!(self.len <= self.mask * 3 / 4 + 1, "RawTable over capacity");
+        self.place(hash, id);
+        self.len += 1;
+    }
+
+    /// [`RawTable::insert_new`] for a table whose final size is not known
+    /// up front (a relation's dedup set): first doubles the table if the
+    /// insert would push its load past 0.75. Kept apart from
+    /// `insert_new` so the kernels' pre-sized inserts pay no growth check.
+    pub fn insert_growing(&mut self, hash: u64, id: u32) {
+        if (self.len + 1) * 4 > (self.mask + 1) * 3 {
+            self.grow();
+        }
+        self.insert_new(hash, id);
+    }
+
+    /// Store `(hash, id)` in the first free slot of its probe sequence.
+    #[inline]
+    fn place(&mut self, hash: u64, id: u32) {
         let mut slot = (hash as usize) & self.mask;
         while self.ids[slot] != EMPTY {
             slot = (slot + 1) & self.mask;
         }
         self.hashes[slot] = hash;
         self.ids[slot] = id;
-        self.len += 1;
+    }
+
+    /// Double the slot count, re-placing every entry by its stored hash
+    /// (keys are never re-read).
+    #[cold]
+    fn grow(&mut self) {
+        let slots = (self.mask + 1) * 2;
+        let hashes = std::mem::replace(&mut self.hashes, vec![0; slots]);
+        let ids = std::mem::replace(&mut self.ids, vec![EMPTY; slots]);
+        self.mask = slots - 1;
+        for (hash, id) in hashes.into_iter().zip(ids) {
+            if id != EMPTY {
+                self.place(hash, id);
+            }
+        }
     }
 }
 
@@ -207,56 +217,11 @@ pub struct GroupIndex {
 }
 
 impl GroupIndex {
-    /// Group `rows` by their values at `cols`.
-    pub fn build(rows: &[Tuple], cols: &[usize]) -> Self {
-        let n = rows.len();
-        let k = cols.len();
-        let mut table = RawTable::with_capacity(n);
-        let mut heads: Vec<u32> = Vec::with_capacity(n);
-        let mut counts: Vec<u32> = Vec::with_capacity(n);
-        let mut tails: Vec<u32> = Vec::with_capacity(n);
-        let mut next = vec![EMPTY; n];
-        let mut keys: Vec<Value> = Vec::with_capacity(n * k);
-        for (i, row) in rows.iter().enumerate() {
-            let h = hash_cols(row, cols);
-            match table.find(h, |g| {
-                let g = g as usize;
-                keys[g * k..(g + 1) * k]
-                    .iter()
-                    .zip(cols.iter())
-                    .all(|(kv, &c)| *kv == row[c])
-            }) {
-                Some(g) => {
-                    let g = g as usize;
-                    next[tails[g] as usize] = i as u32;
-                    tails[g] = i as u32;
-                    counts[g] += 1;
-                }
-                None => {
-                    let g = heads.len() as u32;
-                    heads.push(i as u32);
-                    counts.push(1);
-                    tails.push(i as u32);
-                    keys.extend(cols.iter().map(|&c| row[c]));
-                    table.insert_new(h, g);
-                }
-            }
-        }
-        GroupIndex {
-            cols: cols.into(),
-            table,
-            heads,
-            counts,
-            next,
-            keys,
-        }
-    }
-
-    /// Group the rows of column-major storage by their values at `cols`,
-    /// producing an index identical to [`GroupIndex::build`] over the
-    /// equivalent row-major tuples. Key hashes are computed for the whole
-    /// batch in one column-wise pass ([`hash_columns_into`]) and key
-    /// comparisons read dense column slices.
+    /// Group the rows of column-major storage by their values at `cols`
+    /// (groups numbered in first-seen order, each group's rows in row
+    /// order). Key hashes are computed for the whole batch in one
+    /// column-wise pass ([`hash_columns_into`]) and key comparisons read
+    /// dense column slices.
     pub fn build_columnar(store: &ColumnarRows<Value>, cols: &[usize]) -> Self {
         let n = store.len();
         let k = cols.len();
@@ -400,28 +365,11 @@ impl GroupIndex {
         }
     }
 
-    /// Probe with a key taken from `key_row` at `key_cols`.
+    /// Iterate the row ids whose key equals `key` (values in
+    /// [`cols`](Self::cols) order). Empty iterator on miss.
     #[inline]
-    pub fn probe_cols<'a>(&'a self, key_row: &[Value], key_cols: &[usize]) -> GroupRows<'a> {
-        let h = hash_cols(key_row, key_cols);
-        self.probe(h, |gkey| {
-            gkey.iter()
-                .zip(key_cols.iter())
-                .all(|(kv, &c)| *kv == key_row[c])
-        })
-    }
-
-    /// Probe like [`GroupIndex::probe_cols`] but return the matching
-    /// group's `(group_id, size)` instead of iterating its rows.
-    #[inline]
-    pub fn probe_group(&self, key_row: &[Value], key_cols: &[usize]) -> Option<(usize, usize)> {
-        let h = hash_cols(key_row, key_cols);
-        self.find_group(h, |gkey| {
-            gkey.iter()
-                .zip(key_cols.iter())
-                .all(|(kv, &c)| *kv == key_row[c])
-        })
-        .map(|g| (g, self.counts[g] as usize))
+    pub fn probe_key<'a>(&'a self, key: &[Value]) -> GroupRows<'a> {
+        self.probe(hash_vals(key), |gkey| gkey == key)
     }
 
     /// Probe with an already-projected key (values in
@@ -541,13 +489,17 @@ impl BitSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::ints;
+    use crate::value::{ints, Tuple};
+
+    fn store(arity: usize, rows: &[Tuple]) -> ColumnarRows<Value> {
+        ColumnarRows::from_rows(arity, rows)
+    }
 
     #[test]
     fn hash_cols_matches_hash_vals() {
-        let row = ints(&[7, 8, 9]);
-        let proj = ints(&[9, 7]);
-        assert_eq!(hash_cols(&row, &[2, 0]), hash_vals(&proj));
+        let s = store(3, &[ints(&[7, 8, 9])]);
+        assert_eq!(hash_cols_at(&s, &[2, 0], 0), hash_vals(&ints(&[9, 7])));
+        assert_eq!(hash_cols_at(&s, &[1], 0), hash_value(&Value::Int(8)));
     }
 
     #[test]
@@ -577,37 +529,49 @@ mod tests {
     }
 
     #[test]
+    fn raw_table_grows_by_rehashing() {
+        let mut t = RawTable::with_capacity(0);
+        let hash = |i: u32| u64::from(i).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        for i in 0..1000u32 {
+            t.insert_growing(hash(i), i);
+        }
+        assert_eq!(t.len(), 1000);
+        for i in 0..1000u32 {
+            assert_eq!(t.find(hash(i), |id| id == i), Some(i), "entry {i} lost");
+        }
+        assert_eq!(t.find(hash(1000), |_| true), None);
+    }
+
+    #[test]
     fn group_index_groups_in_row_order() {
-        let rows = vec![
+        let rows = [
             ints(&[1, 10]),
             ints(&[2, 20]),
             ints(&[1, 30]),
             ints(&[1, 40]),
         ];
-        let idx = GroupIndex::build(&rows, &[0]);
+        let idx = GroupIndex::build_columnar(&store(2, &rows), &[0]);
         assert_eq!(idx.num_groups(), 2);
-        let key = ints(&[1]);
-        let got: Vec<usize> = idx.probe_cols(&key, &[0]).collect();
+        let got: Vec<usize> = idx.probe_key(&ints(&[1])).collect();
         assert_eq!(got, vec![0, 2, 3]);
-        let missing = ints(&[9]);
-        assert_eq!(idx.probe_cols(&missing, &[0]).count(), 0);
+        assert_eq!(idx.probe_key(&ints(&[9])).count(), 0);
     }
 
     #[test]
     fn group_index_probe_foreign_layout() {
-        // Probe with the key at different positions of a wider row.
-        let rows = vec![ints(&[1, 2]), ints(&[3, 4])];
-        let idx = GroupIndex::build(&rows, &[1]);
-        let probe_row = ints(&[9, 9, 4]);
-        let got: Vec<usize> = idx.probe_cols(&probe_row, &[2]).collect();
+        // Probe with the key at a different column of a wider store.
+        let idx = GroupIndex::build_columnar(&store(2, &[ints(&[1, 2]), ints(&[3, 4])]), &[1]);
+        let probe = store(3, &[ints(&[9, 9, 4])]);
+        let h = hash_cols_at(&probe, &[2], 0);
+        let got: Vec<usize> = idx.probe(h, |gkey| gkey[0] == probe.col(2)[0]).collect();
         assert_eq!(got, vec![1]);
     }
 
     #[test]
     fn group_index_is_self_contained() {
-        let rows = vec![ints(&[1, 10]), ints(&[2, 20]), ints(&[1, 30])];
-        let idx = GroupIndex::build(&rows, &[0, 1]);
-        drop(rows); // probes never touch the original storage
+        let s = store(2, &[ints(&[1, 10]), ints(&[2, 20]), ints(&[1, 30])]);
+        let idx = GroupIndex::build_columnar(&s, &[0, 1]);
+        drop(s); // probes never touch the original storage
         assert_eq!(idx.probe_group_key(&ints(&[1, 30])), Some((2, 1)));
         assert_eq!(idx.probe_group_key(&ints(&[1, 99])), None);
         assert_eq!(idx.group_key(0), &*ints(&[1, 10]));
@@ -617,36 +581,50 @@ mod tests {
 
     #[test]
     fn hash_columns_matches_hash_cols() {
-        let rows = vec![ints(&[1, 2, 3]), ints(&[4, 5, 6]), ints(&[1, 5, 9])];
-        let store = ColumnarRows::from_rows(3, &rows);
+        let rows = [ints(&[1, 2, 3]), ints(&[4, 5, 6]), ints(&[1, 5, 9])];
+        let s = store(3, &rows);
         for cols in [&[0usize][..], &[2, 0], &[0, 1, 2], &[]] {
             let mut batch = Vec::new();
-            hash_columns_into(&store, cols, &mut batch);
-            let one_shot: Vec<u64> = rows.iter().map(|r| hash_cols(r, cols)).collect();
+            hash_columns_into(&s, cols, &mut batch);
+            let one_shot: Vec<u64> = (0..rows.len()).map(|i| hash_cols_at(&s, cols, i)).collect();
+            let projected: Vec<u64> = rows
+                .iter()
+                .map(|r| hash_vals(&cols.iter().map(|&c| r[c]).collect::<Vec<_>>()))
+                .collect();
             assert_eq!(batch, one_shot, "cols {cols:?}");
+            assert_eq!(batch, projected, "cols {cols:?}");
         }
     }
 
     #[test]
     fn build_columnar_matches_row_build() {
-        let rows = vec![
+        use std::collections::HashMap;
+        let rows = [
             ints(&[1, 10]),
             ints(&[2, 20]),
             ints(&[1, 30]),
             ints(&[1, 10]),
         ];
-        let store = ColumnarRows::from_rows(2, &rows);
+        let s = store(2, &rows);
         for cols in [&[0usize][..], &[1], &[0, 1]] {
-            let by_rows = GroupIndex::build(&rows, cols);
-            let by_cols = GroupIndex::build_columnar(&store, cols);
-            assert_eq!(by_rows.num_groups(), by_cols.num_groups(), "cols {cols:?}");
-            for g in 0..by_rows.num_groups() {
-                assert_eq!(by_rows.group_key(g), by_cols.group_key(g));
-                assert_eq!(by_rows.group_count(g), by_cols.group_count(g));
-                assert_eq!(
-                    by_rows.group_rows(g).collect::<Vec<_>>(),
-                    by_cols.group_rows(g).collect::<Vec<_>>()
-                );
+            // Reference grouping: key -> row ids in row order, keys in
+            // first-seen order.
+            let mut groups: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
+            let mut order: Vec<Vec<Value>> = Vec::new();
+            for (i, row) in rows.iter().enumerate() {
+                let key: Vec<Value> = cols.iter().map(|&c| row[c]).collect();
+                if !groups.contains_key(&key) {
+                    order.push(key.clone());
+                }
+                groups.entry(key).or_default().push(i);
+            }
+            let idx = GroupIndex::build_columnar(&s, cols);
+            assert_eq!(idx.num_groups(), order.len(), "cols {cols:?}");
+            for (g, key) in order.iter().enumerate() {
+                assert_eq!(idx.group_key(g), &key[..]);
+                assert_eq!(idx.group_count(g), groups[key].len());
+                assert_eq!(idx.group_rows(g).collect::<Vec<_>>(), groups[key]);
+                assert_eq!(idx.probe_key(key).collect::<Vec<_>>(), groups[key]);
             }
         }
     }

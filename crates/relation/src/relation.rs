@@ -6,30 +6,34 @@
 //! therefore deduplicates on insertion and keeps rows in insertion order for
 //! deterministic iteration.
 
-use crate::hashjoin::GroupIndex;
+use crate::hashjoin::{hash_vals, GroupIndex, RawTable};
 use crate::value::{Tuple, Value};
-use mq_store::ColumnarRows;
-use std::collections::hash_map::Entry;
+use mq_store::{ColumnarRows, FxHasher, RowView};
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::{Arc, RwLock};
 
 /// A named relation: a set of tuples of a fixed arity.
+///
+/// The tuples are stored once, column-major ([`ColumnarRows`]); a
+/// [`RawTable`] over row ids is the set test (it hashes column values
+/// and compares column-wise, never holding a tuple of its own). A clone
+/// shares the column buffers, so the first insert into a clone copies
+/// them once.
 pub struct Relation {
     name: String,
     arity: usize,
-    rows: Vec<Tuple>,
-    /// Tuple -> row index, for O(1) membership; values index into `rows`.
-    index: HashMap<Tuple, usize>,
+    cols: ColumnarRows<Value>,
+    /// Row ids keyed by the hash of the row's values: the dedup set.
+    set: RawTable,
+    /// `cols` as boxed rows, for [`Relation::rows`]; cleared on insert.
+    row_view: RowView<Value>,
     /// Shared allocation-free column indexes, built lazily behind a lock
     /// so the algebra can consult them through `&Relation` — including
     /// concurrently from the parallel `findRules` enumeration. Invalidated
     /// on insert.
     group_indexes: RwLock<HashMap<Box<[usize]>, Arc<GroupIndex>>>,
-    /// Lazily built column-major mirror of `rows` (handle clones are
-    /// O(1); see [`Relation::columnar`]). Invalidated on insert, like the
-    /// group indexes.
-    columnar: RwLock<Option<ColumnarRows<Value>>>,
 }
 
 impl Clone for Relation {
@@ -37,11 +41,11 @@ impl Clone for Relation {
         Relation {
             name: self.name.clone(),
             arity: self.arity,
-            rows: self.rows.clone(),
-            index: self.index.clone(),
+            cols: self.cols.clone(),
+            set: self.set.clone(),
+            row_view: RowView::new(),
             // Cached indexes are cheap to rebuild; clones start cold.
             group_indexes: RwLock::new(HashMap::new()),
-            columnar: RwLock::new(None),
         }
     }
 }
@@ -52,10 +56,10 @@ impl Relation {
         Relation {
             name: name.into(),
             arity,
-            rows: Vec::new(),
-            index: HashMap::new(),
+            cols: ColumnarRows::empty(arity),
+            set: RawTable::with_capacity(0),
+            row_view: RowView::new(),
             group_indexes: RwLock::new(HashMap::new()),
-            columnar: RwLock::new(None),
         }
     }
 
@@ -83,12 +87,12 @@ impl Relation {
 
     /// Number of (distinct) tuples, `|R|`.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.cols.len()
     }
 
     /// Whether the relation has no tuples.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.cols.is_empty()
     }
 
     /// Insert a tuple; returns `true` if it was new.
@@ -96,6 +100,11 @@ impl Relation {
     /// # Panics
     /// Panics if `row.len() != arity`.
     pub fn insert(&mut self, row: Tuple) -> bool {
+        self.insert_values(&row)
+    }
+
+    /// [`Relation::insert`] from a borrowed value slice.
+    pub(crate) fn insert_values(&mut self, row: &[Value]) -> bool {
         assert_eq!(
             row.len(),
             self.arity,
@@ -104,21 +113,20 @@ impl Relation {
             self.name,
             self.arity
         );
-        match self.index.entry(row) {
-            Entry::Occupied(_) => false,
-            Entry::Vacant(e) => {
-                let row = e.key().clone();
-                e.insert(self.rows.len());
-                self.rows.push(row);
-                // Any previously built key indexes / mirrors are now stale.
-                self.group_indexes
-                    .write()
-                    .expect("group index lock poisoned")
-                    .clear();
-                *self.columnar.write().expect("columnar lock poisoned") = None;
-                true
-            }
+        let hash = hash_vals(row);
+        if self.find(hash, |c| row[c]).is_some() {
+            return false;
         }
+        let id = u32::try_from(self.len()).expect("relation exceeds u32 rows");
+        self.set.insert_growing(hash, id);
+        self.cols.push_row(row);
+        // Any previously built row view and key indexes are now stale.
+        self.row_view.clear();
+        self.group_indexes
+            .write()
+            .expect("group index lock poisoned")
+            .clear();
+        true
     }
 
     /// Replace the relation's contents wholesale (duplicates dropped, as
@@ -128,36 +136,51 @@ impl Relation {
     /// # Panics
     /// Panics if any row's length differs from the arity.
     pub fn replace_rows(&mut self, rows: Vec<Tuple>) {
-        self.rows.clear();
-        self.index.clear();
+        self.cols = ColumnarRows::empty(self.arity);
+        self.set = RawTable::with_capacity(rows.len());
+        self.row_view.clear();
         self.group_indexes
             .write()
             .expect("group index lock poisoned")
             .clear();
-        *self.columnar.write().expect("columnar lock poisoned") = None;
         for row in rows {
             self.insert(row);
         }
     }
 
+    /// The id of the stored row whose values hash to `hash` and whose
+    /// column `c` holds `value(c)` for every column.
+    fn find(&self, hash: u64, value: impl Fn(usize) -> Value) -> Option<usize> {
+        self.set
+            .find(hash, |id| {
+                (0..self.arity).all(|c| self.cols.col(c)[id as usize] == value(c))
+            })
+            .map(|id| id as usize)
+    }
+
+    /// The hash of stored row `i`, agreeing with [`hash_vals`] on it.
+    fn row_hash(&self, i: usize) -> u64 {
+        let mut h = FxHasher::default();
+        for c in 0..self.arity {
+            self.cols.col(c)[i].hash(&mut h);
+        }
+        h.finish()
+    }
+
     /// Membership test.
     pub fn contains(&self, row: &[Value]) -> bool {
-        self.index.contains_key(row)
+        row.len() == self.arity && self.find(hash_vals(row), |c| row[c]).is_some()
     }
 
-    /// Iterate over tuples in insertion order.
+    /// Iterate over tuples in insertion order. Reads the row view, built
+    /// from the columns on first call and cached until the next insert.
     pub fn rows(&self) -> impl ExactSizeIterator<Item = &Tuple> {
-        self.rows.iter()
+        self.row_view.get(&self.cols).iter()
     }
 
-    /// All tuples as a slice, in insertion order (for index probing).
-    pub fn rows_slice(&self) -> &[Tuple] {
-        &self.rows
-    }
-
-    /// Access the i-th row.
+    /// Access the i-th row (from the row view, like [`Relation::rows`]).
     pub fn row(&self, i: usize) -> &Tuple {
-        &self.rows[i]
+        &self.row_view.get(&self.cols)[i]
     }
 
     /// Get (or build once and cache) the shared allocation-free hash
@@ -176,17 +199,7 @@ impl Relation {
         {
             return Arc::clone(idx);
         }
-        // Build via the column-major mirror when one is already cached
-        // (batched key hashing); otherwise straight off the rows.
-        let mirror = self
-            .columnar
-            .read()
-            .expect("columnar lock poisoned")
-            .clone();
-        let built = Arc::new(match mirror {
-            Some(store) => GroupIndex::build_columnar(&store, cols),
-            None => GroupIndex::build(&self.rows, cols),
-        });
+        let built = Arc::new(GroupIndex::build_columnar(&self.cols, cols));
         let mut cache = self
             .group_indexes
             .write()
@@ -199,29 +212,16 @@ impl Relation {
         )
     }
 
-    /// Get (or build once and cache) the column-major mirror of the
-    /// relation's rows — the storage the columnar kernels scan. The
-    /// returned handle is an O(1) clone sharing the cached buffers;
-    /// inserting into the relation invalidates the mirror.
-    pub fn columnar(&self) -> ColumnarRows<Value> {
-        if let Some(c) = self
-            .columnar
-            .read()
-            .expect("columnar lock poisoned")
-            .as_ref()
-        {
-            return c.clone();
-        }
-        let built = ColumnarRows::from_rows(self.arity, &self.rows);
-        let mut cache = self.columnar.write().expect("columnar lock poisoned");
-        // Another thread may have raced us; keep the first one inserted.
-        cache.get_or_insert(built).clone()
+    /// The relation's tuples, column-major: the storage the kernels
+    /// scan.
+    pub fn columnar(&self) -> &ColumnarRows<Value> {
+        &self.cols
     }
 }
 
 impl fmt::Debug for Relation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}/{} ({} rows)", self.name, self.arity, self.rows.len())
+        write!(f, "{}/{} ({} rows)", self.name, self.arity, self.len())
     }
 }
 
@@ -230,8 +230,12 @@ impl PartialEq for Relation {
     fn eq(&self, other: &Self) -> bool {
         self.name == other.name
             && self.arity == other.arity
-            && self.rows.len() == other.rows.len()
-            && self.rows.iter().all(|r| other.contains(r))
+            && self.len() == other.len()
+            && (0..self.len()).all(|i| {
+                other
+                    .find(self.row_hash(i), |c| self.cols.col(c)[i])
+                    .is_some()
+            })
     }
 }
 
@@ -271,7 +275,7 @@ mod tests {
         let r = Relation::from_rows("e", 2, vec![ints(&[1, 2]), ints(&[1, 3]), ints(&[2, 3])]);
         let idx = r.group_index(&[0]);
         assert_eq!(idx.num_groups(), 2);
-        let rows: Vec<usize> = idx.probe_cols(&ints(&[1]), &[0]).collect();
+        let rows: Vec<usize> = idx.probe_key(&ints(&[1])).collect();
         assert_eq!(rows, vec![0, 1]);
     }
 
@@ -281,7 +285,7 @@ mod tests {
         let _ = r.group_index(&[0]);
         r.insert(ints(&[5, 6]));
         let idx = r.group_index(&[0]);
-        assert!(idx.probe_cols(&ints(&[5]), &[0]).next().is_some());
+        assert!(idx.probe_key(&ints(&[5])).next().is_some());
     }
 
     #[test]
@@ -293,21 +297,46 @@ mod tests {
         assert!(r.contains(&ints(&[9, 9])));
         assert!(!r.contains(&ints(&[1, 2])));
         let idx = r.group_index(&[0]);
-        assert!(idx.probe_cols(&ints(&[9]), &[0]).next().is_some());
-        assert!(idx.probe_cols(&ints(&[1]), &[0]).next().is_none());
+        assert!(idx.probe_key(&ints(&[9])).next().is_some());
+        assert!(idx.probe_key(&ints(&[1])).next().is_none());
     }
 
     #[test]
-    fn columnar_mirror_is_cached_and_invalidated() {
+    fn row_view_is_cached_and_invalidated() {
         let mut r = Relation::from_rows("e", 2, vec![ints(&[1, 2]), ints(&[3, 4])]);
-        let a = r.columnar();
-        assert_eq!(a.col(0), &[Value::Int(1), Value::Int(3)]);
-        let b = r.columnar();
-        assert!(mq_store::ColumnarRows::ptr_eq(&a, &b), "mirror is cached");
+        assert_eq!(r.columnar().col(0), &[Value::Int(1), Value::Int(3)]);
+        let a: *const Tuple = r.row(1);
+        assert!(std::ptr::eq(a, r.row(1)), "row view is cached");
         r.insert(ints(&[5, 6]));
-        let c = r.columnar();
-        assert!(!mq_store::ColumnarRows::ptr_eq(&a, &c));
-        assert_eq!(c.col(1), &[Value::Int(2), Value::Int(4), Value::Int(6)]);
+        assert_eq!(r.rows().len(), 3, "insert drops the stale row view");
+        assert_eq!(r.row(2), &ints(&[5, 6]));
+        assert_eq!(
+            r.columnar().col(1),
+            &[Value::Int(2), Value::Int(4), Value::Int(6)]
+        );
+    }
+
+    #[test]
+    fn clone_shares_columns_until_first_insert() {
+        let a = Relation::from_rows("e", 2, vec![ints(&[1, 2])]);
+        let mut b = a.clone();
+        assert!(ColumnarRows::ptr_eq(a.columnar(), b.columnar()));
+        assert!(b.insert(ints(&[3, 4])));
+        assert!(!b.insert(ints(&[1, 2])), "the clone keeps the set");
+        assert!(!ColumnarRows::ptr_eq(a.columnar(), b.columnar()));
+        assert_eq!(a.len(), 1);
+        assert!(!a.contains(&ints(&[3, 4])));
+        assert_eq!(
+            b.rows().cloned().collect::<Vec<_>>(),
+            vec![ints(&[1, 2]), ints(&[3, 4])]
+        );
+    }
+
+    #[test]
+    fn contains_rejects_wrong_arity() {
+        let r = Relation::from_rows("e", 2, vec![ints(&[1, 2])]);
+        assert!(!r.contains(&ints(&[1])));
+        assert!(!r.contains(&ints(&[1, 2, 3])));
     }
 
     #[test]

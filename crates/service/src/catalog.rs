@@ -5,9 +5,8 @@
 //!
 //! * the [`Database`] itself behind an `Arc`, **frozen** at registration
 //!   — nothing mutates it, so any number of sessions can search it
-//!   concurrently, and every relation's column-major mirror and
-//!   `group_index` are pre-warmed so the first search pays neither the
-//!   transposition nor the index builds;
+//!   concurrently, and every relation's single-column `group_index`es
+//!   are pre-warmed so the first search pays no index builds;
 //! * a `version` (bumped by every update) plus **per-relation
 //!   generations** ([`RelGeneration`]): the tags that key the entry's
 //!   persistent cross-search [`AtomCache`];
@@ -17,15 +16,16 @@
 //! Updates are **copy-on-write at relation granularity** and cost
 //! O(touched relation), not O(database): a [`Database`] holds its
 //! relations behind `Arc`s, so [`Catalog::append_rows`] /
-//! [`Catalog::replace_relation`] clone only pointers, deep-clone just
-//! the relation they write, bump `version` and that relation's
-//! generation, and publish a new snapshot. Every untouched relation —
-//! rows, warmed indexes and columnar mirror — is the same allocation in
-//! the old and new snapshots. Sessions pinned to the old handle keep
-//! searching exactly the rows they started with (their memo services
-//! probe the old generations, so they never observe post-update
-//! bindings), while new sessions cold-start only the touched relation's
-//! atom-cache entries. Each update then drops the stale generations
+//! [`Catalog::replace_relation`] clone only pointers, clone just the
+//! relation they write, bump `version` and that relation's generation,
+//! and publish a new snapshot. Every untouched relation — columns,
+//! tuple set and warmed indexes — is the same allocation in the old
+//! and new snapshots; the touched one shares its column buffers until
+//! its first appended row copies them. Sessions pinned to the old
+//! handle keep searching exactly the rows they started with (their
+//! memo services probe the old generations, so they never observe
+//! post-update bindings), while new sessions cold-start only the
+//! touched relation's atom-cache entries. Each update then drops the stale generations
 //! from the atom cache, so it holds one generation's worth of entries.
 
 use mq_core::engine::memo::{AtomCache, RelGeneration, SharedMemos};
@@ -113,8 +113,8 @@ pub struct DbHandle {
 
 impl DbHandle {
     /// Freeze `db` into a snapshot: pre-warm every relation's
-    /// column-major mirror and single-column `group_index` (the indexes
-    /// the planner's join keys overwhelmingly probe). Relations shared
+    /// single-column `group_index` (the indexes the planner's join keys
+    /// overwhelmingly probe). Relations shared
     /// with the previous snapshot are already warm, so after an update
     /// only the touched relation does work. [`Catalog::update_with`]
     /// runs this outside the catalog map lock so snapshots and queries
@@ -128,10 +128,6 @@ impl DbHandle {
     ) -> Self {
         let _span = mq_obs::trace::SpanGuard::start_always(mq_obs::trace::CATALOG_FREEZE);
         for rel in db.relations() {
-            // Warm the column-major mirror first so the single-column
-            // index builds below scan columns, not boxed rows — and so
-            // the first search's columnar kernels find it ready.
-            let _ = rel.columnar();
             for col in 0..rel.arity() {
                 let _ = rel.group_index(&[col]);
             }
@@ -464,7 +460,7 @@ mod tests {
         let p = old.database().rel_id("p").unwrap();
         let q = old.database().rel_id("q").unwrap();
         let old_index = old.database().relation(p).group_index(&[0]);
-        let old_mirror = old.database().relation(p).columnar();
+        let old_cols = old.database().relation(p).columnar().clone();
         let new = cat.append_rows("tele", "q", vec![ints(&[9, 9])]).unwrap();
         assert_eq!(new.version(), 2);
         assert_eq!(new.generation(q), 2, "touched relation bumps");
@@ -475,14 +471,11 @@ mod tests {
         assert_eq!(old_q, vec![ints(&[2, 4])]);
         assert_eq!(new.database().relation(q).len(), 2);
         // The untouched relation is the same allocation in both
-        // snapshots, with its warmed index and columnar mirror...
+        // snapshots, with its warmed index and its columns...
         let new_p = new.database().relation(p);
         assert!(std::ptr::eq(old.database().relation(p), new_p));
         assert!(Arc::ptr_eq(&old_index, &new_p.group_index(&[0])));
-        assert!(mq_store::ColumnarRows::ptr_eq(
-            &old_mirror,
-            &new_p.columnar()
-        ));
+        assert!(mq_store::ColumnarRows::ptr_eq(&old_cols, new_p.columnar()));
         // ...while the touched relation was copied.
         assert!(!std::ptr::eq(
             old.database().relation(q),

@@ -6,12 +6,12 @@
 //! searches instead of just across one search's workers:
 //!
 //! * [`Catalog`] / [`DbHandle`] — named, **generation-tagged** frozen
-//!   database snapshots: pre-warmed `group_index`es and columnar
-//!   mirrors, and a persistent cross-search atom cache per entry
+//!   database snapshots: pre-warmed `group_index`es and a persistent
+//!   cross-search atom cache per entry
 //!   (`mq_core::engine::memo::AtomCache`, keyed by `(relation
 //!   generation, relation, terms)`). Updates are copy-on-write per
 //!   relation and cost O(touched relation): snapshots share every
-//!   untouched relation (rows and warmed indexes), the entry version
+//!   untouched relation (columns and warmed indexes), the entry version
 //!   and only the touched relation's generation bump, running sessions
 //!   finish on their snapshot, every untouched relation's cache entries
 //!   stay warm, and stale generations are dropped from the cache.

@@ -407,8 +407,11 @@ fn cmd_dump(service: &MqService, rest: &str) -> Reply {
         handle.version()
     )];
     let symbols = db.symbols();
-    for row in relation.rows().take(limit) {
-        let cells: Vec<String> = row.iter().map(|v| v.display(symbols).to_string()).collect();
+    let cols = relation.columnar();
+    for i in 0..relation.len().min(limit) {
+        let cells: Vec<String> = (0..cols.arity())
+            .map(|c| cols.value(i, c).display(symbols).to_string())
+            .collect();
         lines.push(format!("row {}", cells.join(",")));
     }
     Reply::Lines(lines)

@@ -1,4 +1,4 @@
-//! Column-major frozen row storage: one contiguous buffer per column.
+//! Column-major row storage: one contiguous buffer per column.
 //!
 //! A [`ColumnarRows`] stores rows column by column: all values of
 //! column `c` sit back to back in **one** buffer, so a kernel that only
@@ -8,18 +8,25 @@
 //! keys in one pass, compare a key column value-by-value) compile to
 //! tight, vectorization-friendly loops.
 //!
-//! Like the other frozen stores, the column set sits behind an `Arc`:
-//! handle clones are O(1), the storage never mutates once built, and
-//! the whole value is `Send + Sync`. The relational layer keeps a
-//! `ColumnarRows<Value>` mirror beside each relation's tuples and runs
-//! its kernels over it.
+//! This is the **only** stored form of a tuple in the engine: the
+//! relational layer keeps each relation's tuples and every
+//! intermediate result in a `ColumnarRows<Value>`. The column set sits
+//! behind an `Arc`, so handle clones are O(1) and the whole value is
+//! `Send + Sync`. [`ColumnarRows::push_row`] appends copy-on-write: a
+//! handle that shares its columns copies them once, then appends in
+//! place.
+//!
+//! Code that wants tuples rather than columns (the oracles, text I/O,
+//! reductions, certificates) reads a [`RowView`]: boxed rows built from
+//! the columns on first demand and cached by the owner of the columns
+//! until it next appends. No kernel reads it.
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-/// Immutable column-major row storage: `arity` columns, each one
-/// contiguous buffer of `len` values. Handle clones are O(1) and share
-/// the column buffers.
+/// Column-major row storage: `arity` columns, each one contiguous
+/// buffer of `len` values. Handle clones are O(1) and share the column
+/// buffers; appending through a shared handle copies them first.
 pub struct ColumnarRows<V> {
     cols: Arc<[Vec<V>]>,
     rows: usize,
@@ -47,31 +54,27 @@ impl<V: Clone> ColumnarRows<V> {
                 cols[c].push(v.clone());
             }
         }
-        ColumnarRows {
-            cols: cols.into(),
-            rows: rows.len(),
-        }
+        Self::from_columns(rows.len(), cols)
     }
 
-    /// Materialize row `i` by appending its values to `out` (one clone
-    /// per value, no allocation beyond `out`'s own growth).
-    pub fn push_row_into(&self, i: usize, out: &mut Vec<V>) {
-        debug_assert!(i < self.rows, "row {i} out of {} rows", self.rows);
-        for col in self.cols.iter() {
-            out.push(col[i].clone());
+    /// Append one row. Copy-on-write: if other handles share the
+    /// columns they are copied once first (O(arity) allocations), and
+    /// the shared handles keep the old contents.
+    ///
+    /// # Panics
+    /// Panics if `row.len()` differs from the arity.
+    pub fn push_row(&mut self, row: &[V]) {
+        assert_eq!(
+            row.len(),
+            self.arity(),
+            "columnar row length {} does not match arity {}",
+            row.len(),
+            self.arity()
+        );
+        for (col, v) in Arc::make_mut(&mut self.cols).iter_mut().zip(row) {
+            col.push(v.clone());
         }
-    }
-
-    /// Materialize every row as a boxed tuple (the row-major view).
-    pub fn to_rows(&self) -> Vec<Box<[V]>> {
-        let mut buf = Vec::with_capacity(self.arity());
-        (0..self.rows)
-            .map(|i| {
-                buf.clear();
-                self.push_row_into(i, &mut buf);
-                buf.as_slice().into()
-            })
-            .collect()
+        self.rows += 1;
     }
 
     /// A new store holding only the rows whose indexes appear in `keep`,
@@ -86,21 +89,14 @@ impl<V: Clone> ColumnarRows<V> {
             .iter()
             .map(|col| keep.iter().map(|&i| col[i].clone()).collect())
             .collect();
-        ColumnarRows {
-            cols: cols.into(),
-            rows: keep.len(),
-        }
+        Self::from_columns(keep.len(), cols)
     }
 }
 
 impl<V> ColumnarRows<V> {
     /// An empty store of the given arity.
     pub fn empty(arity: usize) -> Self {
-        let cols: Vec<Vec<V>> = (0..arity).map(|_| Vec::new()).collect();
-        ColumnarRows {
-            cols: cols.into(),
-            rows: 0,
-        }
+        Self::from_columns(0, (0..arity).map(|_| Vec::new()).collect())
     }
 
     /// Wrap already-built column buffers.
@@ -195,6 +191,43 @@ impl<V: fmt::Debug> fmt::Debug for ColumnarRows<V> {
     }
 }
 
+/// The row view of a [`ColumnarRows`]: every row as a boxed tuple, in
+/// row order, built from the columns on first [`get`](Self::get) and
+/// cached until [`clear`](Self::clear). The only place rows are derived
+/// from columns. Its owner keeps it beside the columns it was built
+/// from and clears it whenever they change.
+pub struct RowView<V>(OnceLock<Box<[Box<[V]>]>>);
+
+impl<V: Clone> RowView<V> {
+    /// An empty (not yet built) view.
+    pub fn new() -> Self {
+        RowView(OnceLock::new())
+    }
+
+    /// The rows of `cols`, built on the first call. Every call must pass
+    /// the columns the view was built from.
+    pub fn get(&self, cols: &ColumnarRows<V>) -> &[Box<[V]>] {
+        let view = self.0.get_or_init(|| {
+            (0..cols.len())
+                .map(|i| cols.cols.iter().map(|col| col[i].clone()).collect())
+                .collect()
+        });
+        debug_assert_eq!(view.len(), cols.len(), "row view is stale");
+        view
+    }
+
+    /// Drop the built view (its columns changed).
+    pub fn clear(&mut self) {
+        self.0.take();
+    }
+}
+
+impl<V: Clone> Default for RowView<V> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,7 +245,10 @@ mod tests {
         assert_eq!(c.col(0), &[1, 3, 5]);
         assert_eq!(c.col(1), &[2, 4, 6]);
         assert_eq!(*c.value(1, 0), 3);
-        assert_eq!(c.to_rows(), boxed(&[&[1, 2], &[3, 4], &[5, 6]]));
+        assert_eq!(
+            RowView::new().get(&c),
+            &boxed(&[&[1, 2], &[3, 4], &[5, 6]])[..]
+        );
     }
 
     #[test]
@@ -230,22 +266,50 @@ mod tests {
 
     #[test]
     fn from_columns_roundtrip_and_push_row() {
-        let c = ColumnarRows::from_columns(3, vec![vec![1, 3, 5], vec![2, 4, 6]]);
-        let mut out = Vec::new();
-        c.push_row_into(2, &mut out);
-        assert_eq!(out, vec![5, 6]);
+        let mut c = ColumnarRows::from_columns(3, vec![vec![1, 3, 5], vec![2, 4, 6]]);
         assert_eq!(
             c,
             ColumnarRows::from_rows(2, &boxed(&[&[1, 2], &[3, 4], &[5, 6]]))
         );
+        c.push_row(&[7, 8]);
+        assert_eq!(c.len(), 4);
+        assert_eq!(c.col(1), &[2, 4, 6, 8]);
+        assert_eq!(RowView::new().get(&c)[3], vec![7, 8].into_boxed_slice());
+    }
+
+    #[test]
+    fn push_row_copies_shared_columns_once() {
+        let mut a = ColumnarRows::from_rows(2, &boxed(&[&[1, 2]]));
+        let b = a.clone();
+        a.push_row(&[3, 4]);
+        assert!(!ColumnarRows::ptr_eq(&a, &b));
+        assert_eq!(a.col(0), &[1, 3]);
+        assert_eq!(b.col(0), &[1], "the shared handle keeps its rows");
+        assert_eq!(RowView::new().get(&b), &boxed(&[&[1, 2]])[..]);
+        let id = a.ptr_id();
+        a.push_row(&[5, 6]);
+        assert_eq!(a.ptr_id(), id, "an unshared handle appends in place");
+    }
+
+    #[test]
+    fn row_view_is_cached_until_cleared() {
+        let mut c = ColumnarRows::from_rows(2, &boxed(&[&[1, 2], &[3, 4]]));
+        let mut view = RowView::new();
+        let first: *const [Box<[i32]>] = view.get(&c);
+        assert!(std::ptr::eq(first, view.get(&c)), "built once");
+        c.push_row(&[5, 6]);
+        view.clear();
+        assert_eq!(view.get(&c), &boxed(&[&[1, 2], &[3, 4], &[5, 6]])[..]);
     }
 
     #[test]
     fn zero_arity_rows_are_well_defined() {
-        let c = ColumnarRows::<i32>::from_columns(2, vec![]);
+        let mut c = ColumnarRows::<i32>::from_columns(2, vec![]);
         assert_eq!(c.len(), 2);
         assert_eq!(c.arity(), 0);
-        assert_eq!(c.to_rows(), boxed(&[&[], &[]]));
+        assert_eq!(RowView::new().get(&c), &boxed(&[&[], &[]])[..]);
+        c.push_row(&[]);
+        assert_eq!(c.len(), 3);
     }
 
     #[test]

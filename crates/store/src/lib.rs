@@ -6,17 +6,16 @@
 //! what lets it sit **below** `mq-relation` in the workspace while still
 //! serving the whole stack:
 //!
-//! * [`FrozenRows`] — immutable, atomically reference-counted row
-//!   storage with O(1) handle clones. `Send + Sync`, so values built on
-//!   it (notably `mq_relation::Bindings`) can cross worker threads and
-//!   live in cross-worker caches.
-//! * [`ColumnarRows`] — the column-major frozen variant: one contiguous
-//!   buffer **per column**, so keyed kernels (probing, grouped index
-//!   builds, batch hashing) walk dense column slices instead of hopping
-//!   through per-row boxes.
+//! * [`ColumnarRows`] — column-major row storage, the one stored form
+//!   of a tuple: one contiguous buffer **per column**, so keyed kernels
+//!   (probing, grouped index builds, batch hashing) walk dense column
+//!   slices. Handle clones are O(1) and `Send + Sync`, so values built
+//!   on it (`mq_relation::Relation`, `mq_relation::Bindings`) can cross
+//!   worker threads and live in cross-worker caches; appends are
+//!   copy-on-write. [`RowView`] is the one row view derived from the
+//!   columns, cached by their owner for code that wants tuples.
 //! * [`ColIndexCache`] — a thread-safe, *hashed* per-column-set cache of
-//!   derived indexes over one frozen row store (the replacement for the
-//!   old linear-scan `Rc<RefCell<Vec<…>>>` cache in `mq_relation`).
+//!   derived indexes over one frozen column store.
 //! * [`ShardedMemo`] — a sharded, lock-striped concurrent map with
 //!   first-writer-wins publication and hit/miss counters: the substrate
 //!   of the shared memo service that lets every `findRules` scheduler
@@ -40,8 +39,8 @@ pub mod fxhash;
 pub mod lock;
 pub mod memo;
 
-pub use columnar::ColumnarRows;
-pub use frozen::{ColIndexCache, FrozenRows};
+pub use columnar::{ColumnarRows, RowView};
+pub use frozen::ColIndexCache;
 pub use fxhash::{FxBuildHasher, FxHasher};
 pub use lock::{lock_recover, read_recover, unpoison, wait_recover, write_recover};
 pub use memo::{MemoStats, ShardedMemo};

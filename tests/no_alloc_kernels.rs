@@ -8,9 +8,11 @@
 //! down: each probe phase below runs over thousands of rows and is
 //! asserted to allocate at most a small constant. The columnar phases
 //! additionally pin the column-major layout's costs: transposition is
-//! O(arity) allocations, batched multi-column hashing reuses one
-//! scratch buffer, and the fused/reverse semijoins return
-//! storage-sharing clones when nothing is filtered. A final phase pins
+//! O(arity) allocations, a relation's inserts grow its buffers by
+//! doubling (O(log N)), a copy-on-write clone plus one append is
+//! O(arity), batched multi-column hashing reuses one scratch buffer,
+//! and the fused/reverse semijoins return storage-sharing clones when
+//! nothing is filtered. A final phase pins
 //! the observability contract: with tracing forced off, `span!` sites
 //! and metric-handle updates allocate nothing at all, and a zero scrape
 //! cadence keeps the flight recorder's scraper thread unspawned.
@@ -142,17 +144,48 @@ fn probe_phases_allocate_constant_not_per_row() {
     );
 
     // ── Columnar phases ─────────────────────────────────────────────
-    // Transposing N boxed rows into the column-major mirror is O(arity)
-    // allocations (one contiguous buffer per column plus the shared
-    // header), never one per row.
-    let fresh = Bindings::from_parts(vec![v(0), v(1)], (0..N).map(|i| ints(&[i, -i])).collect());
+    // Transposing N boxed rows into column buffers (what `from_parts`
+    // does) is O(arity) allocations (one contiguous buffer per column
+    // plus the shared header), never one per row.
+    let boxed: Vec<_> = (0..N).map(|i| ints(&[i, -i])).collect();
     let before = allocations();
-    let cols = fresh.columnar();
+    let cols = mq_store::ColumnarRows::from_rows(2, &boxed);
     let spent = allocations() - before;
     assert_eq!(cols.len(), N as usize);
     assert!(
         spent < 16,
         "columnar transposition allocated {spent} times for {N} rows"
+    );
+
+    // A relation stores each tuple once, in its columns; its dedup set
+    // holds row ids, not tuple copies. Inserting N prebuilt tuples only
+    // grows the column buffers and the set by doubling: O(log N)
+    // allocations, where a per-row key copy costs ≥ N.
+    let tuples: Vec<_> = (0..N).map(|i| ints(&[i, i % 7])).collect();
+    let before = allocations();
+    let mut rel = Relation::new("grow", 2);
+    for t in tuples {
+        assert!(rel.insert(t));
+    }
+    let spent = allocations() - before;
+    assert_eq!(rel.len(), N as usize);
+    assert!(
+        spent < BUDGET,
+        "inserting {N} tuples into a relation allocated {spent} times — \
+         a per-row stored copy is back"
+    );
+
+    // Copy-on-write append: cloning the relation shares its columns, and
+    // the first appended row copies them once — O(arity) allocations,
+    // however many rows the relation holds.
+    let before = allocations();
+    let mut appended = rel.clone();
+    assert!(appended.insert(ints(&[-1, -1])));
+    let spent = allocations() - before;
+    assert_eq!((rel.len(), appended.len()), (N as usize, N as usize + 1));
+    assert!(
+        spent < 16,
+        "clone + one-row append of a {N}-row relation allocated {spent} times"
     );
 
     // Multi-column keys take the batched columnar hashing path: whole

@@ -4,8 +4,9 @@
 
 use metaquery::cq::{is_fully_reduced, FullReducer, Hypergraph, JoinTree};
 use metaquery::prelude::*;
-use mq_relation::{ints, Bindings, Term, VarId};
+use mq_relation::{ints, Bindings, Relation, Term, Tuple, Value, VarId};
 use proptest::prelude::*;
+use std::collections::HashSet;
 
 /// A small random binary relation as (name, rows).
 fn relation_strategy() -> impl Strategy<Value = Vec<(i64, i64)>> {
@@ -29,8 +30,95 @@ fn build_db(p: &[(i64, i64)], q: &[(i64, i64)], h: &[(i64, i64)]) -> Database {
     db
 }
 
+/// Check a `Relation` against its model: the tuples in insertion order
+/// plus their set. Covers `len`, `contains`, `rows()` order, every column
+/// buffer and single- and two-column `group_index` probes.
+fn assert_matches_model(rel: &Relation, order: &[Tuple], set: &HashSet<Tuple>) {
+    assert_eq!(rel.len(), order.len());
+    assert_eq!(rel.len(), set.len());
+    assert_eq!(rel.rows().cloned().collect::<Vec<_>>(), order);
+    for t in order {
+        assert!(rel.contains(t), "missing {t:?}");
+    }
+    for probe in [ints(&[9, 9, 9]), ints(&[0, 0, 9])] {
+        assert_eq!(rel.contains(&probe), set.contains(&probe));
+    }
+    for c in 0..3 {
+        let col: Vec<Value> = order.iter().map(|t| t[c]).collect();
+        assert_eq!(rel.columnar().col(c), &col[..], "column {c}");
+    }
+    for key_cols in [&[0usize][..], &[1], &[2], &[0, 2]] {
+        let idx = rel.group_index(key_cols);
+        for a in 0..6i64 {
+            for b in [0i64, 3, 9] {
+                let key: Vec<Value> = [a, b][..key_cols.len()]
+                    .iter()
+                    .map(|&v| Value::Int(v))
+                    .collect();
+                let want: Vec<usize> = (0..order.len())
+                    .filter(|&i| key_cols.iter().zip(&key).all(|(&c, v)| order[i][c] == *v))
+                    .collect();
+                let got: Vec<usize> = idx.probe_key(&key).collect();
+                assert_eq!(got, want, "probe {key_cols:?} = {key:?}");
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `Relation` against a `Vec` + `HashSet` model under random
+    /// `insert`, `replace_rows` and clone-then-insert sequences. Every
+    /// check runs between steps, so the row view and group indexes are
+    /// warm before each mutation and must be invalidated by it; a clone
+    /// shares its columns until its first insert, after which the
+    /// original must still match its own model.
+    #[test]
+    fn relation_matches_model(
+        ops in prop::collection::vec((0u8..10, 0i64..5, 0i64..4, 0i64..3), 1..40),
+    ) {
+        let mut rel = Relation::new("r", 3);
+        let mut order: Vec<Tuple> = Vec::new();
+        let mut set: HashSet<Tuple> = HashSet::new();
+        for (kind, a, b, c) in ops {
+            let t = ints(&[a, b, c]);
+            match kind {
+                0..=6 => {
+                    let fresh = set.insert(t.clone());
+                    if fresh {
+                        order.push(t.clone());
+                    }
+                    prop_assert_eq!(rel.insert(t), fresh);
+                }
+                7 => {
+                    // A batch with a duplicate, as `replace_rows` must drop it.
+                    let batch = vec![t.clone(), ints(&[b, c, a]), t];
+                    order.clear();
+                    set.clear();
+                    for row in &batch {
+                        if set.insert(row.clone()) {
+                            order.push(row.clone());
+                        }
+                    }
+                    rel.replace_rows(batch);
+                }
+                _ => {
+                    let mut copy = rel.clone();
+                    let fresh = !set.contains(&t);
+                    prop_assert_eq!(copy.insert(t.clone()), fresh);
+                    // The original is unchanged by its clone's insert.
+                    assert_matches_model(&rel, &order, &set);
+                    if fresh {
+                        set.insert(t.clone());
+                        order.push(t);
+                    }
+                    rel = copy;
+                }
+            }
+            assert_matches_model(&rel, &order, &set);
+        }
+    }
 
     /// Every index of every instantiation lies in [0, 1].
     #[test]
